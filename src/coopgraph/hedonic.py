@@ -7,14 +7,40 @@ modularity family pays beta_ij (A_ij - gamma d_i d_j / 2m) with full
 multiplicities, which makes potential maximization coincide with
 (generalized) modularity maximization.
 
-Everything is exact: potentials, move gains, stability thresholds and
-sweep breakpoints are Fractions end to end.
+Both are served by one integer model. HedonicModel.bind(vf, g) writes
+every pair value as (lam a_ij - kap c_i c_j) / den, with integer
+neighbour weights a_ij (nonzero only on linked pairs), integer node
+weights c_i, integer scalars lam and kap, and a common denominator
+den > 0:
+
+    alpha = p/q                    a_ij = 1 if linked, c_i = 1,
+                                   lam = q, kap = p, den = q
+    beta = b1/b2, gamma = gp/gq    a_ij = multiplicity, c_i = degree,
+                                   lam = b1 2m gq, kap = b1 gp, den = b2 2m gq
+    degree-normalized (beta None)  a_ij = den 2m mult / (d_i d_j), c_i = 1,
+                                   lam = 1, kap = den gamma, den = lcm of gq
+                                   and the denominators of 2m mult / (d_i d_j)
+
+Moving node i from block S to block T (or a fresh block) then gains
+
+    lam (A_iT - A_iS) - kap c_i (C_T - C_S + c_i)
+
+where A_iX sums a_ij over i's neighbours in X and C_X sums c over X: the
+local-move gain of Louvain (Blondel et al. 2008) in integers, O(deg i)
+to gather the link sums and O(1) per target block. The potential is a
+sum of pair values, so a move changes it by exactly the mover's gain
+(Monderer & Shapley 1996) and better response tracks it incrementally.
+
+Everything is exact: gains and potentials are integers over den, and a
+Fraction is built only where a value leaves the engine (an accepted
+move, a reported potential, a pair value). Potentials, move gains,
+stability thresholds and sweep breakpoints are exact rationals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -25,9 +51,9 @@ from .partition import (
     Partition,
     Schedule,
     Trace,
+    TraceStep,
     canonical_form,
-    enumerate_deviations,
-    run_dynamics,
+    run_schedule,
 )
 
 BRUTEFORCE_MAX_NODES = 10
@@ -70,24 +96,6 @@ class Modularity:
 ValueFunction = Union[AlphaModel, Modularity]
 
 
-def pair_value(vf: ValueFunction, g: Multigraph, u: str, v: str) -> Fraction:
-    """Symmetric value one node derives from sharing a block with another."""
-    if u == v:
-        raise ValueError("pair value is defined for distinct nodes only")
-    mult = g.multiplicity(u, v)
-    if isinstance(vf, AlphaModel):
-        return 1 - vf.alpha if mult >= 1 else -vf.alpha
-    if g.m == 0:
-        raise ValueError("modularity value function needs at least one edge")
-    du, dv = g.degree(u), g.degree(v)
-    base = mult - vf.gamma * Fraction(du * dv, 2 * g.m)
-    if vf.beta is None:
-        if du == 0 or dv == 0:
-            raise ValueError("degree-normalized weights need positive degrees")
-        return Fraction(2 * g.m, du * dv) * base
-    return vf.beta * base
-
-
 @dataclass(frozen=True)
 class Potential:
     """Exact partition potential; for the alpha model also the linear form
@@ -98,43 +106,214 @@ class Potential:
     slope: Optional[Fraction] = None
 
 
-def _binary_links_within(g: Multigraph, block: frozenset[str]) -> int:
-    members = sorted(block)
-    count = 0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if g.adjacent(members[a], members[b]):
-                count += 1
-    return count
+@dataclass(frozen=True, eq=False)
+class HedonicModel:
+    """A value function bound to a graph in exact integers.
+
+    For graph indices i != j, pair_value = (lam * a_ij - kap * c_i * c_j) / den,
+    where a[i] maps each neighbour j of i to a_ij (a_ij is 0 for unlinked
+    pairs), c holds the node weights and den > 0. Bind with HedonicModel.bind.
+    """
+
+    vf: ValueFunction
+    g: Multigraph
+    a: tuple[dict[int, int], ...]
+    c: tuple[int, ...]
+    lam: int
+    kap: int
+    den: int
+
+    @classmethod
+    def bind(cls, vf: ValueFunction, g: Multigraph) -> "HedonicModel":
+        """Scale the value function's pair values on g to integers; raises
+        ValueError for a modularity model on a graph without edges, and for
+        degree-normalized weights on a graph with an isolated node."""
+        if isinstance(vf, AlphaModel):
+            a = tuple({j: 1 for j in row} for row in g.adjacency)
+            return cls(vf, g, a, (1,) * g.n, **_alpha_scalars(vf.alpha))
+        if g.m == 0:
+            raise ValueError("modularity value function needs at least one edge")
+        two_m = 2 * g.m
+        degrees = tuple(g.degree(u) for u in g.labels)
+        gamma = vf.gamma
+        if vf.beta is not None:
+            b = vf.beta
+            return cls(
+                vf, g, g.adjacency, degrees,
+                lam=b.numerator * two_m * gamma.denominator,
+                kap=b.numerator * gamma.numerator,
+                den=b.denominator * two_m * gamma.denominator,
+            )
+        if 0 in degrees:
+            raise ValueError("degree-normalized weights need positive degrees")
+        # beta_ij = 2m / (d_i d_j) makes the pair value 2m A_ij / (d_i d_j) - gamma.
+        weights = [
+            {j: Fraction(two_m * w, degrees[i] * degrees[j]) for j, w in row.items()}
+            for i, row in enumerate(g.adjacency)
+        ]
+        den = math.lcm(gamma.denominator, *(q.denominator for row in weights for q in row.values()))
+        a = tuple({j: int(q * den) for j, q in row.items()} for row in weights)
+        return cls(vf, g, a, (1,) * g.n, lam=1, kap=int(gamma * den), den=den)
+
+    def within(self, blocks: Iterable[Iterable[int]]) -> tuple[int, int]:
+        """(sum of a_ij, sum of c_i c_j) over the unordered pairs inside
+        each block of graph indices."""
+        a, c = self.a, self.c
+        links = pairs = 0
+        for block in blocks:
+            members = set(block)
+            total = squares = 0
+            for i in members:
+                total += c[i]
+                squares += c[i] * c[i]
+                links += sum(w for j, w in a[i].items() if j in members)
+            pairs += (total * total - squares) // 2
+        return links // 2, pairs
+
+    def scaled_pair(self, i: int, j: int) -> int:
+        """den times the pair value of distinct graph indices i and j."""
+        return self.lam * self.a[i].get(j, 0) - self.kap * self.c[i] * self.c[j]
+
+    def _index_blocks(self, p: Partition) -> list[list[int]]:
+        index = self.g.index_of
+        return [[index(u) for u in block] for block in p.blocks]
+
+    def potential(self, p: Partition) -> Potential:
+        links, pairs = self.within(self._index_blocks(p))
+        value = Fraction(self.lam * links - self.kap * pairs, self.den)
+        if isinstance(self.vf, AlphaModel):
+            return Potential(value, Fraction(links), Fraction(-pairs))
+        return Potential(value)
+
+    def gain(self, p: Partition, mv: Move) -> Fraction:
+        """Exact gain of one move on a Partition value, in
+        O(deg + |source| + |target|)."""
+        source = p.blocks[mv.source]
+        if mv.node not in source:
+            raise ValueError(f"node {mv.node!r} not in source block {mv.source}")
+        index = self.g.index_of
+        i = index(mv.node)
+        s = {index(u) for u in source}
+        t = set() if mv.is_fresh else {index(u) for u in p.blocks[mv.target]}
+        c = self.c
+        a_s = a_t = 0
+        for j, w in self.a[i].items():
+            if j in s:
+                a_s += w
+            elif j in t:
+                a_t += w
+        c_s = sum(c[j] for j in s)
+        c_t = sum(c[j] for j in t)
+        gain = self.lam * (a_t - a_s) - self.kap * c[i] * (c_t - c_s + c[i])
+        return Fraction(gain, self.den)
+
+
+def _alpha_scalars(alpha: Fraction) -> dict:
+    return {"lam": alpha.denominator, "kap": alpha.numerator, "den": alpha.denominator}
+
+
+class _BlockState:
+    """Index-array partition state for run_schedule.
+
+    block[i] is the position of node i's block, numbered as apply_move
+    numbers them (an emptied block is dropped and later positions shift
+    down; a fresh block is appended); size and total hold each block's
+    member count and sum of c. Gains stay scaled integers; a Fraction is
+    built only for an accepted move, whose objective_after is the previous
+    potential plus its gain. The potential rises at every accepted move,
+    so no partition can repeat and no cycle key is kept.
+    """
+
+    def __init__(self, model: HedonicModel, p: Partition):
+        labels = model.g.labels
+        self.model = model
+        self.block = [0] * len(labels)
+        index_blocks = model._index_blocks(p)
+        for k, members in enumerate(index_blocks):
+            for i in members:
+                self.block[i] = k
+        self.size = [len(members) for members in index_blocks]
+        self.total = [sum(model.c[i] for i in members) for members in index_blocks]
+        links, pairs = model.within(index_blocks)
+        self.scaled = model.lam * links - model.kap * pairs
+        self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
+
+    def deviations(self, i: int):
+        """(target, scaled gain) per deviation of node i: the other blocks in
+        position order, then None for a fresh block unless i is alone. A
+        move from S to T gains lam (A_iT - A_iS) - kap c_i (C_T - C_S + c_i)."""
+        model, block, total = self.model, self.block, self.total
+        s = block[i]
+        links: dict[int, int] = {}
+        for j, w in model.a[i].items():
+            b = block[j]
+            links[b] = links.get(b, 0) + w
+        lam = model.lam
+        kc = model.kap * model.c[i]
+        # The part of the gain that does not depend on the target; it is
+        # the whole gain of a move to a fresh block.
+        leave = -lam * links.get(s, 0) - kc * (model.c[i] - total[s])
+        for t in range(len(total)):
+            if t != s:
+                yield t, leave + lam * links.get(t, 0) - kc * total[t]
+        if self.size[s] > 1:
+            yield None, leave
+
+    def move(self, i: int, target: Optional[int]) -> Move:
+        return Move(self.model.g.labels[i], self.block[i], target)
+
+    def accept(self, i: int, target: Optional[int], gain: int) -> TraceStep:
+        mv = self.move(i, target)
+        block, size, total = self.block, self.size, self.total
+        s, ci = block[i], self.model.c[i]
+        if target is None:
+            target = len(size)
+            size.append(0)
+            total.append(0)
+        size[s] -= 1
+        total[s] -= ci
+        size[target] += 1
+        total[target] += ci
+        block[i] = target
+        if size[s] == 0:
+            del size[s], total[s]
+            block[:] = [b - (b > s) for b in block]
+        self.scaled += gain
+        den = self.model.den
+        return TraceStep(mv, Fraction(gain, den), Fraction(self.scaled, den))
+
+    def cycle_key(self) -> None:
+        return None
+
+    def partition(self) -> Partition:
+        blocks: list[list[str]] = [[] for _ in self.size]
+        for label, b in zip(self.model.g.labels, self.block):
+            blocks[b].append(label)
+        return Partition(blocks)
+
+
+def pair_value(vf: ValueFunction, g: Multigraph, u: str, v: str) -> Fraction:
+    """Symmetric value one node derives from sharing a block with another."""
+    if u == v:
+        raise ValueError("pair value is defined for distinct nodes only")
+    model = HedonicModel.bind(vf, g)
+    return Fraction(model.scaled_pair(g.index_of(u), g.index_of(v)), model.den)
 
 
 def potential_form(g: Multigraph, p: Partition) -> tuple[int, int]:
     """Alpha-model potential as integer (intercept, slope): per block, the
     binarized link count minus alpha times the member-pair count."""
-    intercept = 0
-    slope = 0
-    for block in p.blocks:
-        q = len(block)
-        intercept += _binary_links_within(g, block)
-        slope -= q * (q - 1) // 2
-    return intercept, slope
+    return _form(HedonicModel.bind(AlphaModel(0), g), p)
+
+
+def _form(structure: HedonicModel, p: Partition) -> tuple[int, int]:
+    links, pairs = structure.within(structure._index_blocks(p))
+    return links, -pairs
 
 
 def potential(vf: ValueFunction, g: Multigraph, p: Partition) -> Potential:
-    """Sum of pair values over unordered within-block pairs.
-
-    The alpha model uses the closed form per block; the modularity family
-    sums pair values directly."""
-    if isinstance(vf, AlphaModel):
-        intercept, slope = potential_form(g, p)
-        return Potential(intercept + slope * vf.alpha, Fraction(intercept), Fraction(slope))
-    total = Fraction(0)
-    for block in p.blocks:
-        members = sorted(block)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                total += pair_value(vf, g, members[a], members[b])
-    return Potential(total)
+    """Sum of pair values over unordered within-block pairs."""
+    return HedonicModel.bind(vf, g).potential(p)
 
 
 def move_gain(vf: ValueFunction, g: Multigraph, p: Partition, mv: Move) -> Fraction:
@@ -142,58 +321,50 @@ def move_gain(vf: ValueFunction, g: Multigraph, p: Partition, mv: Move) -> Fract
     value of the current block without itself. Equals the potential
     difference of the move exactly, which is what makes better response
     terminate."""
-    source = p.blocks[mv.source]
-    if mv.node not in source:
-        raise ValueError(f"node {mv.node!r} not in source block {mv.source}")
-    gain = Fraction(0)
-    if not mv.is_fresh:
-        for j in p.blocks[mv.target]:
-            gain += pair_value(vf, g, mv.node, j)
-    for j in source:
-        if j != mv.node:
-            gain -= pair_value(vf, g, mv.node, j)
-    return gain
+    return HedonicModel.bind(vf, g).gain(p, mv)
 
 
 def nash_stable(
     vf: ValueFunction, g: Multigraph, p: Partition
 ) -> tuple[bool, Optional[Move]]:
     """True when no single node strictly gains by relocating to another
-    block or to a fresh one; otherwise returns one improving move."""
-    for node in sorted(p.nodes):
-        for mv in enumerate_deviations(p, node):
-            if move_gain(vf, g, p, mv) > 0:
-                return False, mv
+    block or to a fresh one; otherwise returns the first improving move in
+    label and enumerate_deviations order. p must cover exactly g's nodes."""
+    p.check_cover(g.labels)
+    state = _BlockState(HedonicModel.bind(vf, g), p)
+    for i in state.nodes:
+        for target, gain in state.deviations(i):
+            if gain > 0:
+                return False, state.move(i, target)
     return True, None
 
 
 def hedonic_payoff(vf: ValueFunction, g: Multigraph):
-    """Deviation-gain callback for run_dynamics."""
-    return lambda p, mv: move_gain(vf, g, p, mv)
+    """Deviation-gain callback for run_dynamics, over one binding."""
+    return HedonicModel.bind(vf, g).gain
 
 
 def better_response(
     vf: ValueFunction, g: Multigraph, start: Partition, schedule: Schedule = Schedule()
 ) -> tuple[Partition, Trace]:
-    """Better-response dynamics on the hedonic game.
+    """Better-response dynamics on the hedonic game; start must cover
+    exactly g's nodes.
 
     The potential rises strictly at every accepted move and there are
-    finitely many partitions, so the run always stops Stable and the
-    result passes nash_stable."""
-    return run_dynamics(
-        hedonic_payoff(vf, g),
-        start,
-        schedule,
-        objective=lambda p: potential(vf, g, p).value,
-    )
+    finitely many partitions, so the run always stops Stable (or at the
+    step cap) and the result passes nash_stable. Each step's
+    objective_after is the potential after the move."""
+    start.check_cover(g.labels)
+    return run_schedule(_BlockState(HedonicModel.bind(vf, g), start), schedule)
 
 
 def partition_threshold(g: Multigraph, p1: Partition, p2: Partition) -> Optional[Fraction]:
     """Exact alpha in [0, 1] where the two partitions' alpha-model
     potentials cross; None when the linear forms are parallel or
     identical, or the crossing falls outside [0, 1]."""
-    i1, s1 = potential_form(g, p1)
-    i2, s2 = potential_form(g, p2)
+    structure = HedonicModel.bind(AlphaModel(0), g)
+    i1, s1 = _form(structure, p1)
+    i2, s2 = _form(structure, p2)
     if s1 == s2:
         return None
     x = Fraction(i2 - i1, s1 - s2)
@@ -232,36 +403,43 @@ def alpha_sweep(
     candidates are discovered by running better_response from each start
     (default: singletons and the grand coalition) at grid+1 evenly spaced
     rational alphas, then enveloped. Breakpoints are exact rationals.
+    Every candidate and start must cover exactly g's nodes. The graph is
+    bound once; each grid point only rescales the binding.
     """
     lo, hi = Fraction(alpha_range[0]), Fraction(alpha_range[1])
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"alpha range must satisfy 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+    structure = HedonicModel.bind(AlphaModel(0), g)
     if candidates is not None:
         cands = list(candidates)
         if not cands:
             raise ValueError("candidate partition set is empty")
+        for p in cands:
+            p.check_cover(g.labels)
     else:
         if grid < 1:
             raise ValueError("grid must be at least 1")
         base = list(starts) if starts is not None else []
+        for s in base:
+            s.check_cover(g.labels)
         base += [Partition.singletons(g.labels), Partition.grand(g.labels)]
         found: dict[bytes, Partition] = {}
         for j in range(grid + 1):
             a = lo + (hi - lo) * Fraction(j, grid)
-            vf = AlphaModel(a)
+            model = replace(structure, vf=AlphaModel(a), **_alpha_scalars(a))
             for s in base:
-                final, _ = better_response(vf, g, s, schedule)
+                final, _ = run_schedule(_BlockState(model, s), schedule)
                 found.setdefault(canonical_form(final), final)
         cands = [found[key] for key in sorted(found)]
-    return SweepTable(tuple(_envelope(g, cands, lo, hi)))
+    return SweepTable(tuple(_envelope(structure, cands, lo, hi)))
 
 
-def _envelope(g, candidates, lo, hi):
+def _envelope(structure, candidates, lo, hi):
     # One line per distinct linear form; equal forms tie everywhere, so
     # keep the canonically smallest partition for them.
     lines: dict[tuple[int, int], Partition] = {}
     for p in candidates:
-        form = potential_form(g, p)
+        form = _form(structure, p)
         if form not in lines or canonical_form(p) < canonical_form(lines[form]):
             lines[form] = p
     entries = [(Fraction(i), Fraction(s), p) for (i, s), p in lines.items()]
@@ -326,15 +504,9 @@ def bruteforce_max_partition(vf: ValueFunction, g: Multigraph) -> tuple[Partitio
         )
     labels = g.labels
     n = g.n
-    # Integer-scaled pair values keep the enumeration in int arithmetic.
-    values = [[Fraction(0)] * n for _ in range(n)]
-    denom = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = pair_value(vf, g, labels[i], labels[j])
-            values[i][j] = q
-            denom = math.lcm(denom, q.denominator)
-    scaled = [[int(values[i][j] * denom) for j in range(n)] for i in range(n)]
+    # The model's scaled pair values keep the enumeration in int arithmetic.
+    model = HedonicModel.bind(vf, g)
+    scaled = [[model.scaled_pair(i, j) for j in range(n)] for i in range(n)]
 
     best_score = None
     best_blocks: Optional[list[list[int]]] = None
@@ -342,8 +514,6 @@ def bruteforce_max_partition(vf: ValueFunction, g: Multigraph) -> tuple[Partitio
     for blocks in _index_partitions(n):
         score = 0
         for b in blocks:
-            # Block member indices are ascending, so (b[x], b[y]) hits the
-            # upper triangle.
             for x in range(len(b)):
                 row = scaled[b[x]]
                 for y in range(x + 1, len(b)):
@@ -360,7 +530,7 @@ def bruteforce_max_partition(vf: ValueFunction, g: Multigraph) -> tuple[Partitio
                 best_blocks = [list(b) for b in blocks]
                 best_key = key
     part = Partition([labels[i] for i in b] for b in best_blocks)
-    return part, potential(vf, g, part)
+    return part, model.potential(part)
 
 
 def _canonical_key(labels, blocks) -> bytes:

@@ -1,9 +1,11 @@
 """Partitions of a node set and single-node better-response machinery.
 
-The dynamics runner is generic: it is parameterized by a payoff callback
-returning an exact deviation gain, accepts a move only on strictly
-positive gain, and reports how it stopped (Stable, CycleDetected or
-CapReached). Payoffs backed by a potential always stop Stable.
+One schedule loop, run_schedule, drives every dynamics run. It asks a
+state object for the exact gain of each deviation, accepts a move only
+on strictly positive gain, and reports how it stopped (Stable,
+CycleDetected or CapReached). run_dynamics adapts a payoff callback over
+immutable Partition values to it; the hedonic engine supplies its own
+index-array state. Payoffs backed by a potential always stop Stable.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 from .errors import PartitionError
 
@@ -59,15 +61,10 @@ class Partition:
                 if node in block_of:
                     raise PartitionError(f"node in two blocks: {node!r}")
                 block_of[node] = k
-        if universe is not None:
-            missing = set(universe) - block_of.keys()
-            extra = block_of.keys() - set(universe)
-            if missing:
-                raise PartitionError(f"blocks do not cover: {sorted(missing)}")
-            if extra:
-                raise PartitionError(f"blocks contain unknown nodes: {sorted(extra)}")
         self._blocks = blks
         self._block_of = block_of
+        if universe is not None:
+            self.check_cover(universe)
 
     @classmethod
     def singletons(cls, nodes: Iterable[str]) -> "Partition":
@@ -84,6 +81,16 @@ class Partition:
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._block_of)
+
+    def check_cover(self, universe: Iterable[str]) -> None:
+        """Raise PartitionError unless the blocks cover exactly the universe."""
+        universe = set(universe)
+        missing = universe - self._block_of.keys()
+        extra = self._block_of.keys() - universe
+        if missing:
+            raise PartitionError(f"blocks do not cover: {sorted(missing)}")
+        if extra:
+            raise PartitionError(f"blocks contain unknown nodes: {sorted(extra)}")
 
     def block_of(self, node: str) -> int:
         try:
@@ -177,18 +184,35 @@ class Trace:
 PayoffFn = Callable[[Partition, Move], Fraction]
 
 
-def run_dynamics(
-    payoff: PayoffFn,
-    start: Partition,
-    schedule: Schedule = Schedule(),
-    objective: Optional[Callable[[Partition], Fraction]] = None,
-) -> tuple[Partition, Trace]:
+class DynamicsState(Protocol):
+    """Mutable partition state driven by run_schedule.
+
+    nodes lists the nodes in visiting order (label order). deviations
+    yields (handle, gain) for each deviation of a node, lazily and in
+    enumerate_deviations order; accept applies one of them and returns its
+    trace step. cycle_key is the current partition's canonical form, or
+    None when a potential rules cycles out and no key need be kept.
+    """
+
+    nodes: list
+
+    def deviations(self, node) -> Iterator[tuple[object, object]]: ...
+
+    def accept(self, node, handle, gain) -> TraceStep: ...
+
+    def cycle_key(self) -> Optional[bytes]: ...
+
+    def partition(self) -> Partition: ...
+
+
+def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
     """Apply strictly improving single-node deviations until none is left.
 
-    payoff(partition, move) must return an exact comparable gain; a move
-    is accepted only when the gain is strictly positive, so ties keep the
-    current coalition. When an objective callback is supplied its value
-    after each accepted move is recorded in the trace.
+    A deviation is accepted only when its gain is strictly positive, so
+    ties keep the current coalition. Round-robin visits the nodes in
+    order and takes each node's first improving deviation; random does
+    the same in a per-pass order drawn from the seed; greedy takes the
+    first strict maximum over all node-deviation pairs.
 
     Stops Stable when no node has an improving deviation, CycleDetected
     when a previously seen partition reappears (possible only for payoffs
@@ -196,22 +220,20 @@ def run_dynamics(
     """
     if schedule.max_steps is not None and schedule.max_steps <= 0:
         raise PartitionError("max_steps must be positive")
-    nodes = sorted(start.nodes)
+    nodes = state.nodes
     cap = schedule.max_steps if schedule.max_steps is not None else 1000 * max(len(nodes), 1)
     rng = random.Random(schedule.seed)
-    seen = {canonical_form(start)}
+    key = state.cycle_key()
+    seen = None if key is None else {key}
     steps: list[TraceStep] = []
-    p = start
 
-    def accept(mv: Move, gain: Fraction) -> Optional[str]:
-        nonlocal p
-        p = apply_move(p, mv)
-        after = objective(p) if objective is not None else None
-        steps.append(TraceStep(mv, gain, after))
-        key = canonical_form(p)
-        if key in seen:
-            return CYCLE_DETECTED
-        seen.add(key)
+    def accept(node, handle, gain) -> Optional[str]:
+        steps.append(state.accept(node, handle, gain))
+        if seen is not None:
+            key = state.cycle_key()
+            if key in seen:
+                return CYCLE_DETECTED
+            seen.add(key)
         if len(steps) >= cap:
             return CAP_REACHED
         return None
@@ -220,27 +242,68 @@ def run_dynamics(
         while True:
             best = None
             for node in nodes:
-                for mv in enumerate_deviations(p, node):
-                    gain = payoff(p, mv)
-                    if gain > 0 and (best is None or gain > best[1]):
-                        best = (mv, gain)
+                for handle, gain in state.deviations(node):
+                    if gain > 0 and (best is None or gain > best[2]):
+                        best = (node, handle, gain)
             if best is None:
-                return p, Trace(tuple(steps), STABLE)
+                return state.partition(), Trace(tuple(steps), STABLE)
             stop = accept(*best)
             if stop is not None:
-                return p, Trace(tuple(steps), stop)
+                return state.partition(), Trace(tuple(steps), stop)
 
     while True:
         order = nodes if schedule.policy == ROUND_ROBIN else rng.sample(nodes, len(nodes))
         moved = False
         for node in order:
-            for mv in enumerate_deviations(p, node):
-                gain = payoff(p, mv)
+            for handle, gain in state.deviations(node):
                 if gain > 0:
                     moved = True
-                    stop = accept(mv, gain)
+                    stop = accept(node, handle, gain)
                     if stop is not None:
-                        return p, Trace(tuple(steps), stop)
+                        return state.partition(), Trace(tuple(steps), stop)
                     break
         if not moved:
-            return p, Trace(tuple(steps), STABLE)
+            return state.partition(), Trace(tuple(steps), STABLE)
+
+
+class _CallbackState:
+    """Immutable Partition values advanced by apply_move, with gains from a
+    payoff callback."""
+
+    def __init__(self, payoff: PayoffFn, start: Partition, objective):
+        self.payoff = payoff
+        self.objective = objective
+        self.p = start
+        self.nodes = sorted(start.nodes)
+
+    def deviations(self, node):
+        p = self.p
+        for mv in enumerate_deviations(p, node):
+            yield mv, self.payoff(p, mv)
+
+    def accept(self, node, mv: Move, gain) -> TraceStep:
+        self.p = apply_move(self.p, mv)
+        after = self.objective(self.p) if self.objective is not None else None
+        return TraceStep(mv, gain, after)
+
+    def cycle_key(self) -> bytes:
+        return canonical_form(self.p)
+
+    def partition(self) -> Partition:
+        return self.p
+
+
+def run_dynamics(
+    payoff: PayoffFn,
+    start: Partition,
+    schedule: Schedule = Schedule(),
+    objective: Optional[Callable[[Partition], Fraction]] = None,
+) -> tuple[Partition, Trace]:
+    """run_schedule with gains from a payoff callback.
+
+    payoff(partition, move) must return an exact comparable gain. When an
+    objective callback is supplied its value after each accepted move is
+    recorded in the trace. Every accepted partition is kept for cycle
+    detection, since a callback need not come from a potential.
+    """
+    return run_schedule(_CallbackState(payoff, start, objective), schedule)

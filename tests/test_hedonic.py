@@ -6,9 +6,12 @@ import pytest
 from coopgraph import (
     AlphaModel,
     Modularity,
+    HedonicModel,
     Move,
     Multigraph,
     Partition,
+    PartitionError,
+    Schedule,
     SizeGateError,
     STABLE,
     alpha_sweep,
@@ -206,6 +209,15 @@ class TestBetterResponse:
         assert len(trace.steps) == 1
         assert trace.steps[0].gain == frac("1/2")
 
+    def test_greedy_keeps_the_first_strict_maximum(self):
+        # u, v and w all gain 1/2 by joining v's block or a neighbour's;
+        # greedy takes the first such move in label and deviation order.
+        g = Multigraph([("u", "v"), ("v", "w")])
+        vf = AlphaModel(frac("1/2"))
+        _, trace = better_response(vf, g, Partition.singletons(g.labels), Schedule(policy="greedy"))
+        assert trace.steps[0].move == Move("u", 0, 1)
+        assert trace.steps[0].gain == frac("1/2")
+
     def test_zachary_reaches_seventeen_split(self, karate):
         final, trace = better_response(
             AlphaModel(frac("1/20")), karate, karate_split_15_19()
@@ -394,3 +406,45 @@ class TestModularityOnZachary:
     def test_seventeen_split_is_modularity_stable(self, karate):
         stable, _ = nash_stable(Modularity(), karate, karate_split_17_17())
         assert stable
+
+
+class TestBoundaryValidation:
+    def test_partial_start_is_refused(self, example1):
+        partial = Partition([{"A", "B"}])
+        with pytest.raises(PartitionError, match="cover"):
+            better_response(AlphaModel(frac("1/5")), example1, partial)
+        with pytest.raises(PartitionError, match="cover"):
+            nash_stable(AlphaModel(frac("1/5")), example1, partial)
+
+    def test_unknown_node_is_refused(self, example1):
+        extra = Partition([set(example1.labels) | {"Z"}])
+        with pytest.raises(PartitionError, match="unknown"):
+            better_response(Modularity(), example1, extra)
+        with pytest.raises(PartitionError, match="unknown"):
+            nash_stable(Modularity(), example1, extra)
+
+    def test_sweep_refuses_partial_starts_and_candidates(self, example1, example1_split):
+        partial = Partition([{"A", "B", "C"}])
+        with pytest.raises(PartitionError, match="cover"):
+            alpha_sweep(example1, starts=[partial], grid=2)
+        with pytest.raises(PartitionError, match="cover"):
+            alpha_sweep(example1, [example1_split, partial])
+
+    def test_degree_normalized_refuses_an_isolated_node_when_bound(self):
+        g = Multigraph([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "d"])
+        vf = Modularity(beta=None)
+        with pytest.raises(ValueError, match="positive degrees"):
+            HedonicModel.bind(vf, g)
+        # The pair (a, b) never involves d, yet the model cannot be bound.
+        with pytest.raises(ValueError, match="positive degrees"):
+            pair_value(vf, g, "a", "b")
+        with pytest.raises(ValueError, match="positive degrees"):
+            better_response(vf, g, Partition([{"a", "b", "c"}, {"d"}]))
+
+    @pytest.mark.parametrize("beta", [frac("1"), None])
+    def test_modularity_refuses_a_graph_without_edges_when_bound(self, beta):
+        g = Multigraph(nodes=["u", "v"])
+        with pytest.raises(ValueError, match="at least one edge"):
+            HedonicModel.bind(Modularity(beta=beta), g)
+        with pytest.raises(ValueError, match="at least one edge"):
+            nash_stable(Modularity(beta=beta), g, Partition.singletons(g.labels))
