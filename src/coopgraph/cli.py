@@ -35,31 +35,17 @@ from .myerson import (
     myerson_nash_stable,
     myerson_payoff,
 )
-from .partition import (
-    GREEDY_BEST,
-    ROUND_ROBIN,
-    SEEDED_RANDOM,
-    Move,
-    Partition,
-    Schedule,
-    run_dynamics,
-)
+from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule, run_dynamics
 from .reports import (
     format_rational,
     graph_digest,
+    move_to_obj,
     parse_rational,
     partition_from_json,
     partition_to_obj,
     sweep_to_csv,
     trace_to_obj,
 )
-
-_SCHEDULE_POLICIES = {
-    "round-robin": ROUND_ROBIN,
-    "random": SEEDED_RANDOM,
-    "greedy": GREEDY_BEST,
-}
-
 
 def _resolve_graph(arg: str) -> Multigraph:
     if arg in dataset_names():
@@ -86,12 +72,6 @@ def _load_partition(path: str, g: Multigraph) -> Partition:
         return partition_from_json(Path(path).read_text(), universe=g.labels)
     except ValueError as exc:
         raise ValueError(f"partition file {path!r}: {exc}") from exc
-
-
-def _move_obj(mv: Optional[Move]) -> Optional[dict]:
-    if mv is None:
-        return None
-    return {"node": mv.node, "from": mv.source, "to": "fresh" if mv.is_fresh else mv.target}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -121,11 +101,23 @@ def _hedonic_model(args, g: Multigraph):
 
 
 def _schedule(args) -> Schedule:
-    return Schedule(
-        policy=_SCHEDULE_POLICIES[args.schedule],
-        seed=args.seed,
-        max_steps=args.max_steps,
-    )
+    return Schedule(policy=args.schedule, seed=args.seed, max_steps=args.max_steps)
+
+
+def _emit_partition_report(args, g, command, model, final, trace, elapsed, **fields) -> int:
+    report = {
+        "command": command,
+        "input": {"graph": args.graph, "digest": graph_digest(g), "n": g.n, "m": g.m},
+        "model": model,
+        "schedule": {"policy": args.schedule, "seed": args.seed, "max_steps": args.max_steps},
+        "status": trace.status,
+        "partition": partition_to_obj(final),
+        **fields,
+        "trace": trace_to_obj(trace),
+        "timing_seconds": round(elapsed, 6),
+    }
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    return 0
 
 
 def _cmd_partition_hedonic(args) -> int:
@@ -141,20 +133,11 @@ def _cmd_partition_hedonic(args) -> int:
     if pot.intercept is not None:
         pot_obj["intercept"] = format_rational(pot.intercept)
         pot_obj["slope"] = format_rational(pot.slope)
-    report = {
-        "command": "partition-hedonic",
-        "input": {"graph": args.graph, "digest": graph_digest(g), "n": g.n, "m": g.m},
-        "model": model,
-        "schedule": {"policy": args.schedule, "seed": args.seed, "max_steps": args.max_steps},
-        "status": trace.status,
-        "partition": partition_to_obj(final),
-        "potential": pot_obj,
-        "stability": {"nash_stable": stable, "witness": _move_obj(witness)},
-        "trace": trace_to_obj(trace),
-        "timing_seconds": round(elapsed, 6),
-    }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    return _emit_partition_report(
+        args, g, "partition-hedonic", model, final, trace, elapsed,
+        potential=pot_obj,
+        stability={"nash_stable": stable, "witness": move_to_obj(witness)},
+    )
 
 
 def _cmd_partition_myerson(args) -> int:
@@ -171,27 +154,18 @@ def _cmd_partition_myerson(args) -> int:
         alloc = myerson_allocation(g, frozenset(block))
         for node in block:
             allocation[node] = alloc[node].power_strings()
-    report = {
-        "command": "partition-myerson",
-        "input": {"graph": args.graph, "digest": graph_digest(g), "n": g.n, "m": g.m},
-        "model": {"kind": "myerson", "r": format_rational(r)},
-        "schedule": {"policy": args.schedule, "seed": args.seed, "max_steps": args.max_steps},
-        "status": trace.status,
-        "partition": partition_to_obj(final),
-        "allocation": allocation,
-        "stability": {
+    return _emit_partition_report(
+        args, g, "partition-myerson", {"kind": "myerson", "r": format_rational(r)}, final, trace, elapsed,
+        allocation=allocation,
+        stability={
             "nash_stable": stable,
-            "witness": _move_obj(witness),
+            "witness": move_to_obj(witness),
             "externally_stable": externally_stable,
             "external_witness": (
                 None if entry is None else {"node": entry[0], "block": entry[1]}
             ),
         },
-        "trace": trace_to_obj(trace),
-        "timing_seconds": round(elapsed, 6),
-    }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    )
 
 
 def _cmd_myerson_value(args) -> int:
@@ -239,7 +213,7 @@ def _cmd_stability(args) -> int:
             "alpha": format_rational(vf.alpha),
             "check": "nash",
             "stable": stable,
-            "witness": _move_obj(witness),
+            "witness": move_to_obj(witness),
         }
     else:
         if args.r is None:
@@ -251,7 +225,7 @@ def _cmd_stability(args) -> int:
             check = "external"
         else:
             stable, mv = myerson_nash_stable(g, p, r)
-            witness = _move_obj(mv)
+            witness = move_to_obj(mv)
             check = "nash"
         out = {
             "model": "myerson",
@@ -295,7 +269,7 @@ def _cmd_dataset(args) -> int:
 
 
 def _add_schedule_flags(sub) -> None:
-    sub.add_argument("--schedule", choices=sorted(_SCHEDULE_POLICIES), default="round-robin")
+    sub.add_argument("--schedule", choices=sorted(_POLICIES), default=ROUND_ROBIN)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-steps", type=int, default=None)
 

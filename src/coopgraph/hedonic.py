@@ -52,6 +52,7 @@ from .partition import (
     Schedule,
     Trace,
     TraceStep,
+    _check_move,
     canonical_form,
     run_schedule,
 )
@@ -187,13 +188,12 @@ class HedonicModel:
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
         """Exact gain of one move on a Partition value, in
-        O(deg + |source| + |target|)."""
-        source = p.blocks[mv.source]
-        if mv.node not in source:
-            raise ValueError(f"node {mv.node!r} not in source block {mv.source}")
+        O(deg + |source| + |target|); raises PartitionError for a node
+        outside its source block or a missing target block."""
+        _check_move(p, mv)
         index = self.g.index_of
         i = index(mv.node)
-        s = {index(u) for u in source}
+        s = {index(u) for u in p.blocks[mv.source]}
         t = set() if mv.is_fresh else {index(u) for u in p.blocks[mv.target]}
         c = self.c
         a_s = a_t = 0
@@ -339,11 +339,6 @@ def nash_stable(
     return True, None
 
 
-def hedonic_payoff(vf: ValueFunction, g: Multigraph):
-    """Deviation-gain callback for run_dynamics, over one binding."""
-    return HedonicModel.bind(vf, g).gain
-
-
 def better_response(
     vf: ValueFunction, g: Multigraph, start: Partition, schedule: Schedule = Schedule()
 ) -> tuple[Partition, Trace]:
@@ -395,7 +390,6 @@ def alpha_sweep(
     starts: Optional[Iterable[Partition]] = None,
     grid: int = 20,
     alpha_range: tuple = (Fraction(0), Fraction(1)),
-    schedule: Schedule = Schedule(),
 ) -> SweepTable:
     """Exact upper envelope of alpha-model potentials over an alpha range.
 
@@ -428,7 +422,7 @@ def alpha_sweep(
             a = lo + (hi - lo) * Fraction(j, grid)
             model = replace(structure, vf=AlphaModel(a), **_alpha_scalars(a))
             for s in base:
-                final, _ = run_schedule(_BlockState(model, s), schedule)
+                final, _ = run_schedule(_BlockState(model, s))
                 found.setdefault(canonical_form(final), final)
         cands = [found[key] for key in sorted(found)]
     return SweepTable(tuple(_envelope(structure, cands, lo, hi)))
@@ -443,6 +437,7 @@ def _envelope(structure, candidates, lo, hi):
         if form not in lines or canonical_form(p) < canonical_form(lines[form]):
             lines[form] = p
     entries = [(Fraction(i), Fraction(s), p) for (i, s), p in lines.items()]
+    # Ties go to the steeper line, so adjacent rows never share a partition.
     rows = []
     a = lo
     while True:
@@ -457,14 +452,7 @@ def _envelope(structure, candidates, lo, hi):
         if cut >= hi:
             break
         a = cut
-    merged = [rows[0]]
-    for row in rows[1:]:
-        last = merged[-1]
-        if row.partition == last.partition:
-            merged[-1] = SweepRow(last.alpha_lo, row.alpha_hi, last.partition, last.intercept, last.slope)
-        else:
-            merged.append(row)
-    return merged
+    return rows
 
 
 def iter_set_partitions(items: Iterable):

@@ -107,10 +107,6 @@ class Multigraph:
     def adjacent(self, u: str, v: str) -> bool:
         return self.multiplicity(u, v) > 0
 
-    def neighbors(self, u: str) -> dict[str, int]:
-        """Neighbors of u with multiplicities, keyed by label."""
-        return {self._labels[j]: w for j, w in self._adj[self.index_of(u)].items()}
-
     def pairs(self) -> Iterator[tuple[str, str, int]]:
         """Unordered adjacent pairs with multiplicities, in first-mention order."""
         for i, j in self._pair_order:
@@ -275,16 +271,12 @@ class NodePathProfile:
     max_distance: int
 
 
-def _all_pairs_counts(h: Multigraph) -> list[tuple[list[int], list[int]]]:
-    return [_bfs_counts(h, i) for i in range(h.n)]
-
-
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
     """Geodesic path counts inside g restricted to the coalition."""
     h = induced_subgraph(g, coalition)
     if h.n == 0:
         raise ValueError("coalition must be nonempty")
-    rows = _all_pairs_counts(h)
+    rows = [_bfs_counts(h, i) for i in range(h.n)]
     counts: list[int] = []
     for i in range(h.n):
         d, s = rows[i]
@@ -306,7 +298,7 @@ def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile
     h = induced_subgraph(g, coalition)
     if h.n == 0:
         raise ValueError("coalition must be nonempty")
-    rows = _all_pairs_counts(h)
+    rows = [_bfs_counts(h, i) for i in range(h.n)]
     length = max((d for dist, _ in rows for d in dist if d >= 1), default=0)
     counts: dict[str, tuple[int, ...]] = {}
     for x in range(h.n):

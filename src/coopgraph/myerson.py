@@ -22,7 +22,7 @@ from .multigraph import (
     coalition_path_counts,
     node_path_counts,
 )
-from .partition import Move, Partition, enumerate_deviations
+from .partition import Move, Partition, _check_move, enumerate_deviations
 
 ORACLE_MAX_NODES = 12
 
@@ -238,11 +238,11 @@ def _check_r(r) -> Fraction:
 def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:
     """Payoff change for the moving node at discount r: its Myerson value
     in the joined coalition minus its value in its current one. A fresh
-    block is a singleton and pays zero."""
+    block is a singleton and pays zero. Raises PartitionError for a node
+    outside its source block or a missing target block."""
     r = _check_r(r)
+    _check_move(p, mv)
     source = p.blocks[mv.source]
-    if mv.node not in source:
-        raise ValueError(f"node {mv.node!r} not in source block {mv.source}")
     current = myerson_allocation(g, source)[mv.node].evaluate(r)
     if mv.is_fresh:
         return -current
@@ -258,8 +258,10 @@ def myerson_payoff(g: Multigraph, r) -> Callable[[Partition, Move], Fraction]:
 
 def myerson_nash_stable(g: Multigraph, p: Partition, r) -> tuple[bool, Optional[Move]]:
     """True when no node can strictly raise its Myerson payoff by a single
-    move; otherwise returns one improving move as witness."""
+    move; otherwise returns one improving move as witness. p must cover
+    exactly g's nodes."""
     r = _check_r(r)
+    p.check_cover(g.labels)
     for node in sorted(p.nodes):
         for mv in enumerate_deviations(p, node):
             if myerson_gain(g, p, mv, r) > 0:
@@ -272,8 +274,10 @@ def external_stability_check(
 ) -> tuple[bool, Optional[tuple[str, int]]]:
     """Check that every beneficial single-player entry into an existing
     coalition is blocked by some incumbent whose payoff would strictly
-    drop. Returns the unblocked (node, block index) pair otherwise."""
+    drop. Returns the unblocked (node, block index) pair otherwise. p must
+    cover exactly g's nodes."""
     r = _check_r(r)
+    p.check_cover(g.labels)
     for node in sorted(p.nodes):
         src = p.block_of(node)
         current = myerson_allocation(g, p.blocks[src])[node].evaluate(r)

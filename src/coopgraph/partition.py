@@ -121,14 +121,20 @@ def canonical_form(p: Partition) -> bytes:
     return "|".join(",".join(b) for b in blocks).encode("utf-8")
 
 
-def apply_move(p: Partition, mv: Move) -> Partition:
-    """Apply a single-node move. The vacated block is dropped when it
-    empties; a fresh block is appended at the end."""
-    blocks = [set(b) for b in p.blocks]
+def _check_move(p: Partition, mv: Move) -> None:
+    # Block indices are checked before use: a negative one would wrap.
+    blocks = p.blocks
     if not (0 <= mv.source < len(blocks)) or mv.node not in blocks[mv.source]:
         raise PartitionError(f"node {mv.node!r} not in source block {mv.source}")
     if mv.target is not None and not (0 <= mv.target < len(blocks)):
         raise PartitionError(f"no such target block: {mv.target}")
+
+
+def apply_move(p: Partition, mv: Move) -> Partition:
+    """Apply a single-node move. The vacated block is dropped when it
+    empties; a fresh block is appended at the end."""
+    _check_move(p, mv)
+    blocks = [set(b) for b in p.blocks]
     blocks[mv.source].discard(mv.node)
     if mv.is_fresh:
         blocks.append({mv.node})

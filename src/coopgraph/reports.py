@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
-from .partition import Partition, Trace
+from .partition import Move, Partition, Trace
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -59,18 +59,16 @@ def partition_from_json(text: str, universe: Optional[Iterable[str]] = None) -> 
     return partition_from_obj(json.loads(text), universe=universe)
 
 
+def move_to_obj(mv: Optional[Move]) -> Optional[dict]:
+    """{"node", "from", "to"} row of a move, "to" a block index or "fresh"; None for None."""
+    if mv is None:
+        return None
+    return {"node": mv.node, "from": mv.source, "to": "fresh" if mv.is_fresh else mv.target}
+
+
 def trace_to_obj(trace: Trace) -> list[dict]:
-    """Accepted moves as {"node", "from", "to", "gain"} rows; "to" is a
-    block index or "fresh"."""
-    return [
-        {
-            "node": step.move.node,
-            "from": step.move.source,
-            "to": "fresh" if step.move.is_fresh else step.move.target,
-            "gain": format_rational(step.gain),
-        }
-        for step in trace.steps
-    ]
+    """Accepted moves as move_to_obj rows with an added "gain"."""
+    return [{**move_to_obj(step.move), "gain": format_rational(step.gain)} for step in trace.steps]
 
 
 def sweep_to_csv(table: SweepTable) -> str:

@@ -351,6 +351,24 @@ class TestAlphaSweep:
                 for p in candidates:
                     assert potential(AlphaModel(mid), g, p).value <= top
 
+    def test_every_row_is_the_brute_force_maximum_at_its_midpoint(self):
+        # With every set partition as a candidate the envelope is the global
+        # maximum of the potential at each alpha, and its slopes rise.
+        rng = random.Random(43)
+        rows = 0
+        for _ in range(15):
+            g = random_multigraph(rng, rng.randint(2, 6))
+            candidates = [Partition(blocks) for blocks in iter_set_partitions(g.labels)]
+            table = alpha_sweep(g, candidates)
+            slopes = [row.slope for row in table.rows]
+            assert all(a < b for a, b in zip(slopes, slopes[1:]))
+            for row in table.rows:
+                mid = (row.alpha_lo + row.alpha_hi) / 2
+                _, best = bruteforce_max_partition(AlphaModel(mid), g)
+                assert row.intercept + row.slope * mid == best.value
+            rows += len(table.rows)
+        assert rows >= 25
+
     def test_range_validation(self, example1):
         with pytest.raises(ValueError, match="range"):
             alpha_sweep(example1, alpha_range=(frac("1/2"), frac("1/4")))
@@ -448,3 +466,15 @@ class TestBoundaryValidation:
             HedonicModel.bind(Modularity(beta=beta), g)
         with pytest.raises(ValueError, match="at least one edge"):
             nash_stable(Modularity(beta=beta), g, Partition.singletons(g.labels))
+
+    def test_move_gain_refuses_block_indices_outside_the_partition(self, example1, example1_split):
+        # A negative index must not wrap to the last block, and one past
+        # the end must not escape as an IndexError.
+        vf = AlphaModel(frac("1/5"))
+        assert move_gain(vf, example1, example1_split, Move("F", 1, 0)) == frac("-11/5")
+        for mv in (Move("F", -1, 0), Move("F", 2, 0)):
+            with pytest.raises(PartitionError, match="not in source block"):
+                move_gain(vf, example1, example1_split, mv)
+        for mv in (Move("F", 1, -2), Move("F", 1, 2)):
+            with pytest.raises(PartitionError, match="no such target block"):
+                move_gain(vf, example1, example1_split, mv)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -166,6 +167,30 @@ class TestGeodesicProfile:
         dist, sigma = geodesic_profile(g)
         assert dist["A"]["C"] is None
         assert sigma["A"]["C"] == 0
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        linked = unlinked = 0
+        for _ in range(15):
+            g = random_multigraph(rng, rng.randint(2, 8), edge_prob=0.3)
+            simple = nx.Graph()
+            simple.add_nodes_from(g.labels)
+            simple.add_edges_from((u, v) for u, v, _ in g.pairs())
+            dist, sigma = geodesic_profile(g)
+            for u in g.labels:
+                for v in g.labels:
+                    if not nx.has_path(simple, u, v):
+                        assert dist[u][v] is None and sigma[u][v] == 0
+                        unlinked += 1
+                        continue
+                    assert dist[u][v] == nx.shortest_path_length(simple, u, v)
+                    assert sigma[u][v] == sum(
+                        math.prod(g.multiplicity(a, b) for a, b in zip(path, path[1:]))
+                        for path in nx.all_shortest_paths(simple, u, v)
+                    )
+                    linked += 1
+        assert linked >= 200 and unlinked >= 50
 
     def test_sigma_matches_brute_force(self):
         rng = random.Random(23)

@@ -8,6 +8,7 @@ from coopgraph import (
     Move,
     Multigraph,
     Partition,
+    PartitionError,
     SizeGateError,
     STABLE,
     characteristic_value,
@@ -214,6 +215,17 @@ class TestMyersonGain:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             myerson_gain(example1, example1_split, mv, Fraction(-1, 2))
 
+    def test_block_indices_outside_the_partition_are_refused(self, example1, example1_split):
+        # A negative index must not wrap to the last block, and one past
+        # the end must not escape as an IndexError.
+        r = Fraction(1, 2)
+        for mv in (Move("F", -1, 0), Move("F", 2, 0)):
+            with pytest.raises(PartitionError, match="not in source block"):
+                myerson_gain(example1, example1_split, mv, r)
+        for mv in (Move("F", 1, -2), Move("F", 1, 2)):
+            with pytest.raises(PartitionError, match="no such target block"):
+                myerson_gain(example1, example1_split, mv, r)
+
 
 class TestMyersonDynamics:
     def test_split_stable_at_half(self, example1, example1_split):
@@ -238,11 +250,20 @@ class TestMyersonDynamics:
         assert not unstable
         assert witness == Move("A", 0, 1)
 
+    def test_partial_partition_is_refused(self, example1):
+        # {A, B} alone is stable on its own; nodes C-F must not be ignored.
+        with pytest.raises(PartitionError, match="cover"):
+            myerson_nash_stable(example1, Partition([{"A", "B"}]), Fraction(1, 2))
+
 
 class TestExternalStability:
     def test_example1_split_externally_stable(self, example1, example1_split):
         ok, witness = external_stability_check(example1, example1_split, Fraction(1, 2))
         assert ok and witness is None
+
+    def test_partial_partition_is_refused(self, example1):
+        with pytest.raises(PartitionError, match="cover"):
+            external_stability_check(example1, Partition([{"A", "B"}]), Fraction(1, 2))
 
     def test_single_block_vacuous(self, example1):
         ok, _ = external_stability_check(
