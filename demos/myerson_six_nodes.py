@@ -17,10 +17,9 @@ from coopgraph import (
     characteristic_value,
     load_dataset,
     myerson_allocation,
+    myerson_better_response,
     myerson_gain,
-    myerson_payoff,
     myerson_shapley_oracle,
-    run_dynamics,
     serialize_edge_list,
 )
 
@@ -59,7 +58,7 @@ print("the move pays exactly when r > 3/4")
 
 # Better-response dynamics from the two-triangle split.
 for r in (Fraction(1, 2), Fraction(7, 8)):
-    final, trace = run_dynamics(myerson_payoff(g, r), split)
+    final, trace = myerson_better_response(g, r, split)
     blocks = sorted(sorted(b) for b in final.blocks)
     assert trace.status == STABLE
     print(f"\ndynamics at r = {r}: {len(trace.steps)} moves -> {blocks}")

@@ -32,10 +32,10 @@ from .myerson import (
     component_characteristic,
     external_stability_check,
     myerson_allocation,
+    myerson_better_response,
     myerson_nash_stable,
-    myerson_payoff,
 )
-from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule, run_dynamics
+from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule
 from .reports import (
     format_rational,
     graph_digest,
@@ -145,7 +145,7 @@ def _cmd_partition_myerson(args) -> int:
     r = parse_rational(args.r)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    final, trace = run_dynamics(myerson_payoff(g, r), start, _schedule(args))
+    final, trace = myerson_better_response(g, r, start, _schedule(args))
     elapsed = time.monotonic() - began
     stable, witness = myerson_nash_stable(g, final, r)
     externally_stable, entry = external_stability_check(g, final, r)

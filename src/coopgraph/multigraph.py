@@ -208,21 +208,29 @@ def connected_components(g: Multigraph) -> list[frozenset[str]]:
     return out
 
 
-def _bfs_counts(g: Multigraph, source: int) -> tuple[list[int], list[int]]:
-    # Brandes-style BFS layering; parallel edges multiply path counts.
-    d = [-1] * g.n
-    s = [0] * g.n
+def _bfs(adj, source: int) -> tuple[list[int], list[int], list[int]]:
+    # Brandes-style BFS layering over adjacency rows {neighbour:
+    # multiplicity}; parallel edges multiply path counts. Returns the
+    # visit order, hop distances (-1 when unreachable) and geodesic counts.
+    d = [-1] * len(adj)
+    s = [0] * len(adj)
     d[source] = 0
     s[source] = 1
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w, mult in g.adjacency[v].items():
+    order = [source]
+    for v in order:
+        dv, sv = d[v] + 1, s[v]
+        for w, mult in adj[v].items():
             if d[w] < 0:
-                d[w] = d[v] + 1
-                queue.append(w)
-            if d[w] == d[v] + 1:
-                s[w] += s[v] * mult
+                d[w] = dv
+                order.append(w)
+            if d[w] == dv:
+                s[w] += sv * mult
+    return order, d, s
+
+
+def _bfs_counts(g: Multigraph, source: int) -> tuple[list[int], list[int]]:
+    # Hop distances and geodesic counts from source over the whole graph.
+    _, d, s = _bfs(g.adjacency, source)
     return d, s
 
 
@@ -271,16 +279,26 @@ class NodePathProfile:
     max_distance: int
 
 
+def _local_adjacency(g: Multigraph, coalition: Iterable[str]) -> tuple[list[int], list[dict[int, int]]]:
+    # Coalition members as graph indices in ascending order (the node
+    # order of induced_subgraph), and for each member position its
+    # neighbours inside the coalition as {position: multiplicity}.
+    members = sorted({g.index_of(u) for u in coalition})
+    pos = {v: a for a, v in enumerate(members)}
+    adj = g.adjacency
+    local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
+    return members, local
+
+
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
     """Geodesic path counts inside g restricted to the coalition."""
-    h = induced_subgraph(g, coalition)
-    if h.n == 0:
+    members, local = _local_adjacency(g, coalition)
+    if not members:
         raise ValueError("coalition must be nonempty")
-    rows = [_bfs_counts(h, i) for i in range(h.n)]
     counts: list[int] = []
-    for i in range(h.n):
-        d, s = rows[i]
-        for j in range(i + 1, h.n):
+    for i in range(len(members)):
+        _, d, s = _bfs(local, i)
+        for j in range(i + 1, len(members)):
             if d[j] >= 1:
                 while len(counts) < d[j]:
                     counts.append(0)
@@ -291,30 +309,42 @@ def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfil
 def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile:
     """Per-node geodesic containment counts inside g restricted to the coalition.
 
-    A node on the interior of a geodesic between s and t contributes the
-    product of the geodesic counts of its two legs; endpoints contribute
-    the full pair count.
+    Brandes-style dependency accumulation (Brandes 2001) in exact
+    integers, with one count per geodesic length: after a BFS from source
+    s, below[x][j] counts the geodesic continuations from x to the nodes
+    j hops beyond it, summed back along the BFS order, so sigma(s, x) *
+    below[x][j] is the number of geodesics from s of length d(s, x) + j
+    that pass through x (or end there, j = 0). Every unordered pair is
+    reached once from each end, so the sums over all sources are halved.
+    O(q m_C L) for q members, m_C links inside and longest geodesic L.
     """
-    h = induced_subgraph(g, coalition)
-    if h.n == 0:
+    members, local = _local_adjacency(g, coalition)
+    if not members:
         raise ValueError("coalition must be nonempty")
-    rows = [_bfs_counts(h, i) for i in range(h.n)]
-    length = max((d for dist, _ in rows for d in dist if d >= 1), default=0)
-    counts: dict[str, tuple[int, ...]] = {}
-    for x in range(h.n):
-        vec = [0] * length
-        for i in range(h.n):
-            di, si = rows[i]
-            for j in range(i + 1, h.n):
-                d = di[j]
-                if d < 1:
-                    continue
-                if x == i or x == j:
-                    vec[d - 1] += si[j]
-                else:
-                    d_ix = di[x]
-                    d_xj = rows[x][0][j]
-                    if d_ix > 0 and d_xj > 0 and d_ix + d_xj == d:
-                        vec[d - 1] += si[x] * rows[x][1][j]
-        counts[h.label_of(x)] = tuple(vec)
+    q = len(members)
+    rows: list[list[int]] = [[] for _ in range(q)]
+    for source in range(q):
+        order, d, s = _bfs(local, source)
+        below: list[Optional[list[int]]] = [None] * q
+        for x in reversed(order):
+            acc = [1]
+            dx = d[x] + 1
+            for w, mult in local[x].items():
+                if d[w] == dx:
+                    child = below[w]
+                    if len(child) >= len(acc):
+                        acc.extend([0] * (len(child) + 1 - len(acc)))
+                    for j, c in enumerate(child, 1):
+                        acc[j] += mult * c
+            below[x] = acc
+            row, sx, base = rows[x], s[x], d[x] - 1
+            if len(row) < base + len(acc):
+                row.extend([0] * (base + len(acc) - len(row)))
+            for j in range(1 if x == source else 0, len(acc)):
+                row[base + j] += sx * acc[j]
+    length = max(len(row) for row in rows)
+    counts = {
+        g.label_of(v): tuple(c // 2 for c in row) + (0,) * (length - len(row))
+        for v, row in zip(members, rows)
+    }
     return NodePathProfile(counts, length)

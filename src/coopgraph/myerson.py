@@ -5,6 +5,33 @@ where r in [0, 1] discounts longer connections. The allocation splits
 each length-k geodesic equally among its k+1 nodes, which is the Myerson
 value of the component-additive game; the Shapley-form computation is
 kept as an exponential-size oracle for cross-checking.
+
+Gains and stability checks run on one bound object, MyersonModel.bind(g,
+r), which owns a cache of block tables keyed by the block's frozenset. A
+table holds the block's member positions and all-pairs hop distances and
+geodesic counts, from one BFS per member over graph indices. From it:
+
+* a member i's payoff counts, per length k, the geodesics of the block
+  that contain i: sigma(i, t) for each pair (i, t), and
+  sigma(s, i) sigma(i, t) for each pair s, t with d(s, i) + d(i, t) =
+  d(s, t). That is O(|S|^2) for the mover alone, and it is remembered
+  per (block, node), since every target of one node reuses it;
+* a node i joining block T needs no table of T + {i}: d(i, t) is one
+  more than the least d_T(u, t) over i's neighbours u in T, sigma(i, t)
+  sums mult(i, u) sigma_T(u, t) over the u attaining it, and a pair s, t
+  of T gains geodesics through i exactly when d(s, i) + d(i, t) <=
+  d_T(s, t) or s and t are disconnected in T.
+
+A payoff is sum_k c_k r^k / (k+1) for the count vector c. The model
+keeps it as an integer over one common denominator, so a gain is the
+difference of two integers and becomes a single Fraction. Full
+allocations (every member's polynomial, for reports and the incumbents
+of external_stability_check) come from node_path_counts.
+
+The game has no potential, so dynamics run through run_dynamics with a
+canonical-form cycle key per accepted partition. myerson_payoff alone
+cannot check a start, because the callback never sees the graph's
+labels; myerson_better_response does.
 """
 
 from __future__ import annotations
@@ -18,11 +45,21 @@ from .errors import SizeGateError
 from .multigraph import (
     Multigraph,
     PathProfile,
+    _bfs,
     _bfs_counts,
+    _local_adjacency,
     coalition_path_counts,
     node_path_counts,
 )
-from .partition import Move, Partition, _check_move, enumerate_deviations
+from .partition import (
+    Move,
+    Partition,
+    Schedule,
+    Trace,
+    _check_move,
+    enumerate_deviations,
+    run_dynamics,
+)
 
 ORACLE_MAX_NODES = 12
 
@@ -136,17 +173,16 @@ def myerson_allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, Cha
     """Myerson payoff of every coalition member, computed on the induced
     subgraph: a node containing a^i_k length-k geodesics receives
     a^i_k / (k+1) r^k. Per component the payoffs sum to the component's
-    worth."""
-    return dict(_allocation_cached(g, frozenset(coalition)))
+    worth. The polynomials do not depend on r, so nothing is bound."""
+    return _allocation(g, coalition)
 
 
-@lru_cache(maxsize=4096)
-def _allocation_cached(g: Multigraph, members: frozenset) -> tuple[tuple[str, CharPoly], ...]:
-    profile = node_path_counts(g, members)
-    return tuple(
-        (u, CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec)))
+def _allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, CharPoly]:
+    profile = node_path_counts(g, coalition)
+    return {
+        u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
         for u, vec in profile.counts.items()
-    )
+    }
 
 
 def _geodesic_set_weights(g: Multigraph) -> list[int]:
@@ -235,38 +271,261 @@ def _check_r(r) -> Fraction:
     return r
 
 
+class _BlockTable:
+    """One block's member positions (pos maps graph index to row),
+    all-pairs hop distances (-1 across components) and geodesic counts,
+    plus the payoffs already derived from them, keyed by graph index and
+    scaled by the model's denominator: own for members, joins for nodes
+    joining the block."""
+
+    __slots__ = ("pos", "dist", "sigma", "own", "joins")
+
+    def __init__(self, pos: dict[int, int], dist: list[list[int]], sigma: list[list[int]]):
+        self.pos = pos
+        self.dist = dist
+        self.sigma = sigma
+        self.own: dict[int, int] = {}
+        self.joins: dict[int, int] = {}
+
+    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int]]:
+        """Hop distances and geodesic counts to every member from an outside
+        node with these (graph index -> multiplicity) links: one more than
+        the least distance from a linked member, counts summed over the
+        linked members attaining it."""
+        pos, dist, sigma = self.pos, self.dist, self.sigma
+        di = [-1] * len(pos)
+        si = [0] * len(pos)
+        for u, mult in links.items():
+            a = pos.get(u)
+            if a is None:
+                continue
+            su = sigma[a]
+            for x, d in enumerate(dist[a]):
+                if d < 0:
+                    continue
+                d += 1
+                if di[x] < 0 or d < di[x]:
+                    di[x], si[x] = d, mult * su[x]
+                elif d == di[x]:
+                    si[x] += mult * su[x]
+        return di, si
+
+    def joined(self, i: int, di: list[int], si: list[int]) -> "_BlockTable":
+        """The table of the block plus node i, whose entry() is (di, si):
+        a pair's geodesics through i replace its own when shorter and add
+        to them when as short. O(q^2), no BFS."""
+        dist, sigma = [], []
+        for ds, ss, a, sa in zip(self.dist, self.sigma, di, si):
+            if a < 0:
+                dist.append(ds + [-1])
+                sigma.append(ss + [0])
+                continue
+            rd, rs = [], []
+            for dst, sst, b, sb in zip(ds, ss, di, si):
+                length = a + b
+                if b < 0 or (0 <= dst < length):
+                    rd.append(dst)
+                    rs.append(sst)
+                elif dst == length:
+                    rd.append(dst)
+                    rs.append(sst + sa * sb)
+                else:
+                    rd.append(length)
+                    rs.append(sa * sb)
+            rd.append(a)
+            rs.append(sa)
+            dist.append(rd)
+            sigma.append(rs)
+        dist.append(di + [0])
+        sigma.append(si + [1])
+        pos = dict(self.pos)
+        pos[i] = len(pos)
+        return _BlockTable(pos, dist, sigma)
+
+
+def _block_table(g: Multigraph, block: frozenset) -> _BlockTable:
+    # One BFS per member over the block's local adjacency.
+    members, local = _local_adjacency(g, block)
+    rows = [_bfs(local, a) for a in range(len(members))]
+    return _BlockTable(
+        {v: a for a, v in enumerate(members)},
+        [d for _, d, _ in rows],
+        [s for _, _, s in rows],
+    )
+
+
+def _containment(dist: list[list[int]], sigma: list[list[int]], di: list[int], si: list[int]) -> list[int]:
+    # Per length, the geodesics containing node i, from i's hop distances
+    # di and geodesic counts si to the block's members (i itself excluded,
+    # or at distance 0). Pairs (i, t) count sigma(i, t); a pair s, t of
+    # the block counts sigma(s, i) sigma(i, t) when the detour through i
+    # is no longer than d(s, t) or s and t are disconnected. Inside i's
+    # own block the detour is never shorter, so that is d(s, i) + d(i, t)
+    # = d(s, t).
+    reach = [t for t, d in enumerate(di) if d > 0]
+    if not reach:
+        return []
+    counts = [0] * (2 * max(di[t] for t in reach) + 1)
+    for t in reach:
+        counts[di[t]] += si[t]
+    for x, s in enumerate(reach):
+        ds, d_s, s_s = dist[s], di[s], si[s]
+        for t in reach[x + 1:]:
+            length = d_s + di[t]
+            dst = ds[t]
+            if dst < 0 or length <= dst:
+                counts[length] += s_s * si[t]
+    return counts
+
+
+class MyersonModel:
+    """A graph and a discount r bound for exact Myerson gains.
+
+    Payoffs are integers over den: weights[k] = den r^k / (k+1) for every
+    geodesic length k < max(n, 1). Block tables are built on first use
+    and kept for the life of the model; hits and misses count table
+    lookups. Bind with MyersonModel.bind.
+    """
+
+    def __init__(self, g: Multigraph, r: Fraction, weights: tuple[int, ...], den: int):
+        self.g = g
+        self.r = r
+        self.weights = weights
+        self.den = den
+        self.tables: dict[frozenset, _BlockTable] = {}
+        self.allocations: dict[frozenset, dict[str, CharPoly]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    @classmethod
+    def bind(cls, g: Multigraph, r) -> "MyersonModel":
+        """Raises ValueError unless 0 <= r <= 1."""
+        r = _check_r(r)
+        top = max(g.n, 1) - 1
+        a, b = r.numerator, r.denominator
+        scale = math.lcm(*range(1, top + 2))
+        weights = tuple(scale // (k + 1) * a**k * b ** (top - k) for k in range(top + 1))
+        return cls(g, r, weights, scale * b**top)
+
+    def table(self, block: frozenset) -> _BlockTable:
+        """The block's table, built on the first request."""
+        t = self.tables.get(block)
+        if t is None:
+            self.misses += 1
+            t = self.tables[block] = self._build(block)
+        else:
+            self.hits += 1
+        return t
+
+    def _build(self, block: frozenset) -> _BlockTable:
+        # A block one node larger than a cached one, as an accepted join
+        # makes, is derived from that table; any other takes a BFS per member.
+        index, adjacency = self.g.index_of, self.g.adjacency
+        for node in block:
+            base = self.tables.get(block - {node})
+            if base is not None:
+                i = index(node)
+                return base.joined(i, *base.entry(adjacency[i]))
+        return _block_table(self.g, block)
+
+    def _scaled(self, counts: list[int]) -> int:
+        w = self.weights
+        return sum(c * w[k] for k, c in enumerate(counts) if c)
+
+    def value(self, block: frozenset, node: str) -> int:
+        """den times the member's payoff inside its block."""
+        t = self.table(block)
+        i = self.g.index_of(node)
+        v = t.own.get(i)
+        if v is None:
+            a = t.pos[i]
+            v = t.own[i] = self._scaled(_containment(t.dist, t.sigma, t.dist[a], t.sigma[a]))
+        return v
+
+    def join_value(self, block: frozenset, node: str) -> int:
+        """den times the payoff of a non-member after joining the block,
+        from the block's table and the node's links into it."""
+        t = self.table(block)
+        i = self.g.index_of(node)
+        v = t.joins.get(i)
+        if v is None:
+            v = t.joins[i] = self._scaled(_containment(t.dist, t.sigma, *t.entry(self.g.adjacency[i])))
+        return v
+
+    def allocation(self, block: frozenset) -> dict[str, CharPoly]:
+        """Every member's payoff polynomial (myerson_allocation), cached."""
+        alloc = self.allocations.get(block)
+        if alloc is None:
+            alloc = self.allocations[block] = _allocation(self.g, block)
+        return alloc
+
+    def gain(self, p: Partition, mv: Move) -> Fraction:
+        """The moving node's payoff in the joined coalition minus its payoff
+        now; a fresh block is a singleton and pays zero. Raises
+        PartitionError for a node outside its source block or a missing
+        target block."""
+        _check_move(p, mv)
+        now = self.value(p.blocks[mv.source], mv.node)
+        if mv.is_fresh:
+            return Fraction(-now, self.den)
+        return Fraction(self.join_value(p.blocks[mv.target], mv.node) - now, self.den)
+
+    def better_response(self, start: Partition, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
+        start.check_cover(self.g.labels)
+        return run_dynamics(self.gain, start, schedule)
+
+    def nash_stable(self, p: Partition) -> tuple[bool, Optional[Move]]:
+        p.check_cover(self.g.labels)
+        for node in sorted(p.nodes):
+            for mv in enumerate_deviations(p, node):
+                if self.gain(p, mv) > 0:
+                    return False, mv
+        return True, None
+
+    def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
+        p.check_cover(self.g.labels)
+        r = self.r
+        for node in sorted(p.nodes):
+            src = p.block_of(node)
+            for k, block in enumerate(p.blocks):
+                if k == src or self.join_value(block, node) <= self.value(p.blocks[src], node):
+                    continue
+                joined = self.allocation(block | {node})
+                before = self.allocation(block)
+                if not any(joined[j].evaluate(r) < before[j].evaluate(r) for j in block):
+                    return False, (node, k)
+        return True, None
+
+
 def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:
     """Payoff change for the moving node at discount r: its Myerson value
     in the joined coalition minus its value in its current one. A fresh
     block is a singleton and pays zero. Raises PartitionError for a node
     outside its source block or a missing target block."""
-    r = _check_r(r)
-    _check_move(p, mv)
-    source = p.blocks[mv.source]
-    current = myerson_allocation(g, source)[mv.node].evaluate(r)
-    if mv.is_fresh:
-        return -current
-    joined = p.blocks[mv.target] | {mv.node}
-    return myerson_allocation(g, joined)[mv.node].evaluate(r) - current
+    return MyersonModel.bind(g, r).gain(p, mv)
 
 
 def myerson_payoff(g: Multigraph, r) -> Callable[[Partition, Move], Fraction]:
-    """Deviation-gain callback for run_dynamics at a fixed discount."""
-    r = _check_r(r)
-    return lambda p, mv: myerson_gain(g, p, mv, r)
+    """Deviation-gain callback for run_dynamics at a fixed discount; every
+    gain it returns reads one model's block tables. It cannot check that
+    a start covers g's nodes: use myerson_better_response."""
+    return MyersonModel.bind(g, r).gain
+
+
+def myerson_better_response(
+    g: Multigraph, r, start: Partition, schedule: Schedule = Schedule()
+) -> tuple[Partition, Trace]:
+    """Myerson-value better response at discount r; start must cover
+    exactly g's nodes. The game has no potential, so the run may stop
+    CycleDetected as well as Stable or CapReached."""
+    return MyersonModel.bind(g, r).better_response(start, schedule)
 
 
 def myerson_nash_stable(g: Multigraph, p: Partition, r) -> tuple[bool, Optional[Move]]:
     """True when no node can strictly raise its Myerson payoff by a single
     move; otherwise returns one improving move as witness. p must cover
     exactly g's nodes."""
-    r = _check_r(r)
-    p.check_cover(g.labels)
-    for node in sorted(p.nodes):
-        for mv in enumerate_deviations(p, node):
-            if myerson_gain(g, p, mv, r) > 0:
-                return False, mv
-    return True, None
+    return MyersonModel.bind(g, r).nash_stable(p)
 
 
 def external_stability_check(
@@ -276,21 +535,4 @@ def external_stability_check(
     coalition is blocked by some incumbent whose payoff would strictly
     drop. Returns the unblocked (node, block index) pair otherwise. p must
     cover exactly g's nodes."""
-    r = _check_r(r)
-    p.check_cover(g.labels)
-    for node in sorted(p.nodes):
-        src = p.block_of(node)
-        current = myerson_allocation(g, p.blocks[src])[node].evaluate(r)
-        for k, block in enumerate(p.blocks):
-            if k == src:
-                continue
-            joined_alloc = myerson_allocation(g, block | {node})
-            if joined_alloc[node].evaluate(r) <= current:
-                continue
-            before = myerson_allocation(g, block)
-            blocked = any(
-                joined_alloc[j].evaluate(r) < before[j].evaluate(r) for j in block
-            )
-            if not blocked:
-                return False, (node, k)
-    return True, None
+    return MyersonModel.bind(g, r).external_stability(p)

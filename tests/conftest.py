@@ -5,7 +5,8 @@ layering) so the production counting code is checked against an
 implementation that shares none of its logic: brute_force_profiles
 counts geodesics, and restricted_myerson_oracle sums Shapley marginals of
 a fixed geodesic game over every coalition of a chosen communication
-graph.
+graph. reference_node_path_counts keeps the library's former cubic
+containment loop as a second, independent reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from coopgraph import CharPoly, Multigraph, Partition, induced_subgraph, load_dataset
+from coopgraph.multigraph import NodePathProfile, _bfs_counts
 
 
 @pytest.fixture(scope="session")
@@ -175,3 +177,43 @@ def restricted_myerson_oracle(g: Multigraph, h: Multigraph) -> dict[str, CharPol
                 total = total + (values[mask | bit] - values[mask]) * shares[mask.bit_count()]
         payoff[u] = total
     return payoff
+
+
+def reference_node_path_counts(g: Multigraph, coalition) -> NodePathProfile:
+    """node_path_counts by the direct O(q^3) loop over (x, s, t): BFS from
+    every member of the induced subgraph, then x lies on an s-t geodesic
+    when d(s, x) + d(x, t) = d(s, t), contributing sigma(s, x) sigma(x, t);
+    endpoints contribute the full pair count."""
+    h = induced_subgraph(g, coalition)
+    if h.n == 0:
+        raise ValueError("coalition must be nonempty")
+    rows = [_bfs_counts(h, i) for i in range(h.n)]
+    length = max((d for dist, _ in rows for d in dist if d >= 1), default=0)
+    counts: dict[str, tuple[int, ...]] = {}
+    for x in range(h.n):
+        vec = [0] * length
+        for i in range(h.n):
+            di, si = rows[i]
+            for j in range(i + 1, h.n):
+                d = di[j]
+                if d < 1:
+                    continue
+                if x == i or x == j:
+                    vec[d - 1] += si[j]
+                else:
+                    d_ix = di[x]
+                    d_xj = rows[x][0][j]
+                    if d_ix > 0 and d_xj > 0 and d_ix + d_xj == d:
+                        vec[d - 1] += si[x] * rows[x][1][j]
+        counts[h.label_of(x)] = tuple(vec)
+    return NodePathProfile(counts, length)
+
+
+def reference_allocation(g: Multigraph, coalition) -> dict[str, CharPoly]:
+    """Equal-split Myerson payoffs of the coalition's members from
+    reference_node_path_counts: a^u_k / (k+1) per length-k geodesic."""
+    profile = reference_node_path_counts(g, coalition)
+    return {
+        u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
+        for u, vec in profile.counts.items()
+    }

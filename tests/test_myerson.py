@@ -18,6 +18,7 @@ from coopgraph import (
     external_stability_check,
     load_dataset,
     myerson_allocation,
+    myerson_better_response,
     myerson_gain,
     myerson_nash_stable,
     myerson_payoff,
@@ -254,6 +255,29 @@ class TestMyersonDynamics:
         # {A, B} alone is stable on its own; nodes C-F must not be ignored.
         with pytest.raises(PartitionError, match="cover"):
             myerson_nash_stable(example1, Partition([{"A", "B"}]), Fraction(1, 2))
+
+    def test_better_response_matches_the_payoff_callback(self, example1, example1_split):
+        for r in (Fraction(1, 2), Fraction(7, 8)):
+            assert myerson_better_response(example1, r, example1_split) == run_dynamics(
+                myerson_payoff(example1, r), example1_split
+            )
+
+    def test_partial_start_is_refused(self, example1):
+        # run_dynamics(myerson_payoff(...), start) never sees the graph's
+        # labels and would return this start Stable with no steps.
+        with pytest.raises(PartitionError, match="do not cover"):
+            myerson_better_response(example1, Fraction(1, 2), Partition([{"A", "B"}]))
+
+    def test_one_singleton_start_is_refused(self, example1):
+        # A lone singleton has no deviation, so no payoff callback would
+        # ever run to notice the missing nodes.
+        with pytest.raises(PartitionError, match="do not cover"):
+            myerson_better_response(example1, Fraction(1, 2), Partition([{"A"}]))
+
+    def test_start_with_unknown_node_is_refused(self, example1):
+        start = Partition([set(example1.labels) | {"Z"}])
+        with pytest.raises(PartitionError, match="unknown nodes"):
+            myerson_better_response(example1, Fraction(1, 2), start)
 
 
 class TestExternalStability:

@@ -1,0 +1,271 @@
+"""Differential tests of the Myerson engine against independent references.
+
+MyersonModel reads every gain from cached block tables: a member's
+payoff from its block's all-pairs distances and geodesic counts, a
+joining node's payoff derived from the target block's table without a
+table of the joined block, and the table of a block that an accepted
+join creates derived from the block it grew from. node_path_counts uses
+Brandes accumulation. The references in conftest share none of that:
+reference_node_path_counts is the direct cubic loop over (x, s, t) on the
+induced subgraph, and myerson_shapley_oracle sums Shapley marginals over
+every coalition. Dynamics are compared move for move with run_dynamics
+driven by a reference payoff.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopgraph import (
+    GREEDY_BEST,
+    ROUND_ROBIN,
+    SEEDED_RANDOM,
+    Move,
+    Multigraph,
+    MyersonModel,
+    Partition,
+    Schedule,
+    apply_move,
+    enumerate_deviations,
+    external_stability_check,
+    induced_subgraph,
+    load_dataset,
+    myerson_better_response,
+    myerson_gain,
+    myerson_nash_stable,
+    myerson_shapley_oracle,
+    node_path_counts,
+    parse_edge_list,
+    run_dynamics,
+)
+from coopgraph import myerson
+from coopgraph.myerson import _block_table
+
+from conftest import reference_allocation, reference_node_path_counts
+
+PLANTED = Path(__file__).resolve().parent / "data" / "myerson" / "planted30.edges"
+
+
+def ref_value(g: Multigraph, block, node: str, r: Fraction) -> Fraction:
+    return reference_allocation(g, block)[node].evaluate(r)
+
+
+def ref_gain(g: Multigraph, p: Partition, mv: Move, r: Fraction) -> Fraction:
+    now = ref_value(g, p.blocks[mv.source], mv.node, r)
+    if mv.is_fresh:
+        return -now
+    return ref_value(g, p.blocks[mv.target] | {mv.node}, mv.node, r) - now
+
+
+@st.composite
+def graphs(draw, max_nodes=8):
+    """Small multigraphs, multiplicities 1-3, sparse enough that many
+    coalitions are disconnected; label order differs from first mention."""
+    n = draw(st.integers(1, max_nodes))
+    names = draw(st.permutations([f"n{k}" for k in range(n)]))
+    weights = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
+    edges = [
+        (names[i], names[j], w)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (w := draw(weights)) > 0
+    ]
+    return Multigraph(edges, nodes=names)
+
+
+@st.composite
+def partitions(draw, g: Multigraph):
+    ids = [draw(st.integers(0, g.n - 1)) for _ in g.labels]
+    blocks: dict[int, list[str]] = {}
+    for label, k in zip(g.labels, ids):
+        blocks.setdefault(k, []).append(label)
+    return Partition(draw(st.permutations(list(blocks.values()))))
+
+
+DISCOUNTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(7, 8)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+
+# Derandomized, so that every run checks the same examples.
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@SETTINGS
+@given(st.data())
+def test_node_path_counts_matches_the_cubic_reference(data):
+    g = data.draw(graphs())
+    coalition = data.draw(st.sets(st.sampled_from(g.labels), min_size=1))
+    got = node_path_counts(g, coalition)
+    want = reference_node_path_counts(g, coalition)
+    assert got == want
+    assert list(got.counts) == list(want.counts)
+
+
+@SETTINGS
+@given(st.data())
+def test_every_deviation_gain_matches_the_reference_allocations(data):
+    g = data.draw(graphs())
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    model = MyersonModel.bind(g, r)
+    for node in sorted(p.nodes):
+        for mv in enumerate_deviations(p, node):
+            want = ref_gain(g, p, mv, r)
+            # One model for all deviations (cached tables and payoffs) and
+            # a fresh binding per call must agree with the reference.
+            assert model.gain(p, mv) == want
+            assert myerson_gain(g, p, mv, r) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_gains_match_the_shapley_oracle(data):
+    g = data.draw(graphs())
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    model = MyersonModel.bind(g, r)
+
+    def oracle(block, node):
+        return myerson_shapley_oracle(induced_subgraph(g, block), node).evaluate(r)
+
+    for node in sorted(p.nodes):
+        now = oracle(p.blocks[p.block_of(node)], node)
+        for mv in enumerate_deviations(p, node):
+            joined = 0 if mv.is_fresh else oracle(p.blocks[mv.target] | {node}, node)
+            assert model.gain(p, mv) == joined - now
+
+
+def ref_first_improving(g, p, r):
+    for node in sorted(p.nodes):
+        for mv in enumerate_deviations(p, node):
+            if ref_gain(g, p, mv, r) > 0:
+                return mv
+    return None
+
+
+def ref_unblocked_entry(g, p, r):
+    for node in sorted(p.nodes):
+        current = ref_value(g, p.blocks[p.block_of(node)], node, r)
+        for k, block in enumerate(p.blocks):
+            if k == p.block_of(node) or ref_value(g, block | {node}, node, r) <= current:
+                continue
+            joined = reference_allocation(g, block | {node})
+            before = reference_allocation(g, block)
+            if not any(joined[j].evaluate(r) < before[j].evaluate(r) for j in block):
+                return node, k
+    return None
+
+
+@SETTINGS
+@given(st.data())
+def test_verifiers_match_the_reference(data):
+    g = data.draw(graphs())
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    witness = ref_first_improving(g, p, r)
+    assert myerson_nash_stable(g, p, r) == (witness is None, witness)
+    entry = ref_unblocked_entry(g, p, r)
+    assert external_stability_check(g, p, r) == (entry is None, entry)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_dynamics_match_the_reference_payoff(data):
+    # Accepted joins make the model derive the grown block's table from
+    # the old one, so a whole run checks the derived tables too.
+    g = data.draw(graphs(max_nodes=7))
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    schedule = Schedule(
+        policy=data.draw(st.sampled_from([ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])),
+        seed=data.draw(st.integers(0, 3)),
+        max_steps=data.draw(st.one_of(st.none(), st.integers(1, 6))),
+    )
+    got = myerson_better_response(g, r, p, schedule)
+    want = run_dynamics(lambda q, mv: ref_gain(g, q, mv, r), p, schedule)
+    assert got == want
+
+
+@SETTINGS
+@given(st.data())
+def test_derived_tables_equal_tables_built_by_search(data):
+    g = data.draw(graphs())
+    p = data.draw(partitions(g))
+    model = MyersonModel.bind(g, 1)
+    model.better_response(p)
+    for block, table in model.tables.items():
+        built = _block_table(g, block)
+        for u, a in table.pos.items():
+            for v, b in table.pos.items():
+                assert table.dist[a][b] == built.dist[built.pos[u]][built.pos[v]]
+                assert table.sigma[a][b] == built.sigma[built.pos[u]][built.pos[v]]
+
+
+class TestTableCache:
+    """The model builds each block's table once, and a join needs none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        log: list[frozenset] = []
+        build = MyersonModel._build
+
+        def counted(model, block):
+            log.append(block)
+            return build(model, block)
+
+        monkeypatch.setattr(MyersonModel, "_build", counted)
+        return log
+
+    @pytest.fixture(params=["example1", "planted30"])
+    def graph_and_start(self, request):
+        if request.param == "example1":
+            return load_dataset("example1"), Partition([{"A", "B", "C"}, {"D", "E", "F"}])
+        g = parse_edge_list(PLANTED.read_text())
+        labels = sorted(g.labels)
+        return g, Partition(labels[k::4] for k in range(4))
+
+    def test_one_round_robin_pass_builds_each_block_once(self, builds, graph_and_start):
+        g, p = graph_and_start
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        evaluated = 0
+        for node in sorted(p.nodes):
+            for mv in enumerate_deviations(p, node):
+                model.gain(p, mv)
+                evaluated += 1
+        assert sorted(map(sorted, builds)) == sorted(map(sorted, p.blocks))
+        assert model.misses == len(p.blocks)
+        assert model.hits > evaluated  # source and target lookups after the first
+
+    def test_a_join_builds_no_table_for_the_joined_block(self, builds, graph_and_start):
+        g, p = graph_and_start
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        node = min(p.blocks[0])
+        model.gain(p, Move(node, 0, 1))
+        assert builds == [p.blocks[0], p.blocks[1]]
+        assert p.blocks[1] | {node} not in model.tables
+
+    def test_a_run_builds_no_block_twice(self, builds, graph_and_start, monkeypatch):
+        g, p = graph_and_start
+        searched: list[frozenset] = []
+        search = myerson._block_table
+        monkeypatch.setattr(myerson, "_block_table", lambda g, block: searched.append(block) or search(g, block))
+        model = MyersonModel.bind(g, Fraction(7, 8))
+        _, trace = model.better_response(p)
+        assert len(builds) == len(set(builds)) == model.misses
+        assert model.hits > 0
+        # The block an accepted join creates is derived from the target's
+        # table, never searched again.
+        grown = set()
+        q = p
+        for step in trace.steps:
+            if not step.move.is_fresh:
+                grown.add(q.blocks[step.move.target] | {step.move.node})
+            q = apply_move(q, step.move)
+        assert grown and grown <= set(builds)
+        assert not grown & set(searched)
