@@ -173,11 +173,8 @@ def myerson_allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, Cha
     """Myerson payoff of every coalition member, computed on the induced
     subgraph: a node containing a^i_k length-k geodesics receives
     a^i_k / (k+1) r^k. Per component the payoffs sum to the component's
-    worth. The polynomials do not depend on r, so nothing is bound."""
-    return _allocation(g, coalition)
-
-
-def _allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, CharPoly]:
+    worth. The polynomials do not depend on r; MyersonModel.allocation
+    keeps them per block."""
     profile = node_path_counts(g, coalition)
     return {
         u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
@@ -354,7 +351,7 @@ def _block_table(g: Multigraph, block: frozenset) -> _BlockTable:
     )
 
 
-def _containment(dist: list[list[int]], sigma: list[list[int]], di: list[int], si: list[int]) -> list[int]:
+def _containment(dist: list[list[int]], di: list[int], si: list[int]) -> list[int]:
     # Per length, the geodesics containing node i, from i's hop distances
     # di and geodesic counts si to the block's members (i itself excluded,
     # or at distance 0). Pairs (i, t) count sigma(i, t); a pair s, t of
@@ -439,7 +436,7 @@ class MyersonModel:
         v = t.own.get(i)
         if v is None:
             a = t.pos[i]
-            v = t.own[i] = self._scaled(_containment(t.dist, t.sigma, t.dist[a], t.sigma[a]))
+            v = t.own[i] = self._scaled(_containment(t.dist, t.dist[a], t.sigma[a]))
         return v
 
     def join_value(self, block: frozenset, node: str) -> int:
@@ -449,14 +446,14 @@ class MyersonModel:
         i = self.g.index_of(node)
         v = t.joins.get(i)
         if v is None:
-            v = t.joins[i] = self._scaled(_containment(t.dist, t.sigma, *t.entry(self.g.adjacency[i])))
+            v = t.joins[i] = self._scaled(_containment(t.dist, *t.entry(self.g.adjacency[i])))
         return v
 
     def allocation(self, block: frozenset) -> dict[str, CharPoly]:
         """Every member's payoff polynomial (myerson_allocation), cached."""
         alloc = self.allocations.get(block)
         if alloc is None:
-            alloc = self.allocations[block] = _allocation(self.g, block)
+            alloc = self.allocations[block] = myerson_allocation(self.g, block)
         return alloc
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
