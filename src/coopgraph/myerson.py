@@ -20,7 +20,9 @@ geodesic counts, from one BFS per member over graph indices. From it:
   more than the least d_T(u, t) over i's neighbours u in T, sigma(i, t)
   sums mult(i, u) sigma_T(u, t) over the u attaining it, and a pair s, t
   of T gains geodesics through i exactly when d(s, i) + d(i, t) <=
-  d_T(s, t) or s and t are disconnected in T.
+  d_T(s, t) or s and t are disconnected in T. Once such a join is
+  accepted, the table of T + {i} is derived from T's the same way in
+  O(|T|^2); any other new block takes one BFS per member.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c. The model
 keeps it as an integer over one common denominator, so a gain is the
