@@ -29,10 +29,10 @@ from .hedonic import (
 )
 from .multigraph import Multigraph, parse_edge_list, serialize_edge_list
 from .myerson import (
+    MyersonModel,
     component_characteristic,
     external_stability_check,
     myerson_allocation,
-    myerson_better_response,
     myerson_nash_stable,
 )
 from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule
@@ -145,10 +145,12 @@ def _cmd_partition_myerson(args) -> int:
     r = parse_rational(args.r)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    final, trace = myerson_better_response(g, r, start, _schedule(args))
+    # One model for the run and both verifiers, which read its cached tables.
+    model = MyersonModel.bind(g, r)
+    final, trace = model.better_response(start, _schedule(args))
     elapsed = time.monotonic() - began
-    stable, witness = myerson_nash_stable(g, final, r)
-    externally_stable, entry = external_stability_check(g, final, r)
+    stable, witness = model.nash_stable(final)
+    externally_stable, entry = model.external_stability(final)
     allocation = {}
     for block in sorted(sorted(b) for b in final.blocks):
         alloc = myerson_allocation(g, frozenset(block))

@@ -24,7 +24,7 @@ class Multigraph:
     its inputs.
     """
 
-    __slots__ = ("_labels", "_index", "_adj", "_pair_order", "_degrees", "_m", "_hash")
+    __slots__ = ("_labels", "_index", "_adj", "_pair_order", "_degrees", "_m")
 
     def __init__(self, edges: Iterable = (), nodes: Iterable[str] = ()):
         labels: list[str] = []
@@ -66,7 +66,6 @@ class Multigraph:
         self._pair_order = tuple(pair_order)
         self._degrees = tuple(sum(row.values()) for row in self._adj)
         self._m = sum(self._degrees) // 2
-        self._hash = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -104,9 +103,6 @@ class Multigraph:
         """Number of parallel edges between u and v (0 when not adjacent)."""
         return self._adj[self.index_of(u)].get(self.index_of(v), 0)
 
-    def adjacent(self, u: str, v: str) -> bool:
-        return self.multiplicity(u, v) > 0
-
     def pairs(self) -> Iterator[tuple[str, str, int]]:
         """Unordered adjacent pairs with multiplicities, in first-mention order."""
         for i, j in self._pair_order:
@@ -119,14 +115,6 @@ class Multigraph:
         if not isinstance(other, Multigraph):
             return NotImplemented
         return self._labels == other._labels and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            pairs = frozenset(
-                (min(i, j), max(i, j), self._adj[i][j]) for i, j in self._pair_order
-            )
-            self._hash = hash((self._labels, pairs))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m})"
@@ -169,7 +157,12 @@ def parse_edge_list(text: bytes | str) -> Multigraph:
 def serialize_edge_list(g: Multigraph) -> str:
     """Emit one "u v w" line per unordered pair (w omitted when 1), in
     first-mention pair order. Parsing the output reproduces the graph and
-    re-serializing is byte-stable. Isolated nodes are not representable."""
+    re-serializing is byte-stable. Isolated nodes are not representable.
+    Raises ValueError for a label containing '#', which the format reads
+    as the start of a comment."""
+    for label in g.labels:
+        if "#" in label:
+            raise ValueError(f"node label {label!r} contains '#', which starts an edge-list comment")
     lines = [f"{u} {v}" if w == 1 else f"{u} {v} {w}" for u, v, w in g.pairs()]
     return "".join(line + "\n" for line in lines)
 

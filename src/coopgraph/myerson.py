@@ -26,9 +26,11 @@ geodesic counts, from one BFS per member over graph indices. From it:
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c. The model
 keeps it as an integer over one common denominator, so a gain is the
-difference of two integers and becomes a single Fraction. Full
-allocations (every member's polynomial, for reports and the incumbents
-of external_stability_check) come from node_path_counts.
+difference of two integers and becomes a single Fraction. The
+incumbents of external_stability_check are read the same way, from the
+table of the entered block grown by one, which is derived from the
+block's own. Full allocations (every member's polynomial, for reports)
+come from node_path_counts.
 
 The game has no potential, so dynamics run through run_dynamics with a
 canonical-form cycle key per accepted partition. myerson_payoff alone
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import SizeGateError
@@ -175,8 +176,8 @@ def myerson_allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, Cha
     """Myerson payoff of every coalition member, computed on the induced
     subgraph: a node containing a^i_k length-k geodesics receives
     a^i_k / (k+1) r^k. Per component the payoffs sum to the component's
-    worth. The polynomials do not depend on r; MyersonModel.allocation
-    keeps them per block."""
+    worth. The polynomials do not depend on r; MyersonModel.value gives
+    one member's payoff at a bound r, as a scaled integer."""
     profile = node_path_counts(g, coalition)
     return {
         u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
@@ -213,7 +214,6 @@ def _geodesic_set_weights(g: Multigraph) -> list[int]:
     return weights
 
 
-@lru_cache(maxsize=8)
 def _subset_value_table(g: Multigraph) -> tuple[CharPoly, ...]:
     # values[mask] collects the whole-graph geodesics whose nodes all lie
     # inside mask (a sum of weighted unanimity games), via a subset-sum
@@ -386,13 +386,11 @@ class MyersonModel:
     lookups. Bind with MyersonModel.bind.
     """
 
-    def __init__(self, g: Multigraph, r: Fraction, weights: tuple[int, ...], den: int):
+    def __init__(self, g: Multigraph, weights: tuple[int, ...], den: int):
         self.g = g
-        self.r = r
         self.weights = weights
         self.den = den
         self.tables: dict[frozenset, _BlockTable] = {}
-        self.allocations: dict[frozenset, dict[str, CharPoly]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -404,7 +402,7 @@ class MyersonModel:
         a, b = r.numerator, r.denominator
         scale = math.lcm(*range(1, top + 2))
         weights = tuple(scale // (k + 1) * a**k * b ** (top - k) for k in range(top + 1))
-        return cls(g, r, weights, scale * b**top)
+        return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
         """The block's table, built on the first request."""
@@ -451,13 +449,6 @@ class MyersonModel:
             v = t.joins[i] = self._scaled(_containment(t.dist, *t.entry(self.g.adjacency[i])))
         return v
 
-    def allocation(self, block: frozenset) -> dict[str, CharPoly]:
-        """Every member's payoff polynomial (myerson_allocation), cached."""
-        alloc = self.allocations.get(block)
-        if alloc is None:
-            alloc = self.allocations[block] = myerson_allocation(self.g, block)
-        return alloc
-
     def gain(self, p: Partition, mv: Move) -> Fraction:
         """The moving node's payoff in the joined coalition minus its payoff
         now; a fresh block is a singleton and pays zero. Raises
@@ -483,15 +474,15 @@ class MyersonModel:
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
         p.check_cover(self.g.labels)
-        r = self.r
         for node in sorted(p.nodes):
             src = p.block_of(node)
             for k, block in enumerate(p.blocks):
                 if k == src or self.join_value(block, node) <= self.value(p.blocks[src], node):
                     continue
-                joined = self.allocation(block | {node})
-                before = self.allocation(block)
-                if not any(joined[j].evaluate(r) < before[j].evaluate(r) for j in block):
+                # block's table is cached by join_value, so the joined
+                # block's table is derived from it without a search.
+                joined = block | {node}
+                if not any(self.value(joined, j) < self.value(block, j) for j in block):
                     return False, (node, k)
         return True, None
 

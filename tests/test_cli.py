@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopgraph import Partition, load_dataset
+from coopgraph import MyersonModel, Partition, load_dataset
 from coopgraph.cli import cli_dispatch
 from coopgraph.datasets import karate_split_15_19
 from coopgraph.reports import (
@@ -56,6 +58,18 @@ class TestPartitionJson:
     def test_universe_validated(self):
         with pytest.raises(ValueError):
             partition_from_json('{"blocks": [["A"]]}', universe={"A", "B"})
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=10, unique=True), st.data())
+    def test_round_trip_property(self, labels, data):
+        blocks: dict[int, list[str]] = {}
+        for label in labels:
+            blocks.setdefault(data.draw(st.integers(0, len(labels) - 1)), []).append(label)
+        p = Partition(blocks.values())
+        text = partition_to_json(p)
+        q = partition_from_json(text, universe=labels)
+        assert q == p
+        assert partition_to_json(q) == text
 
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="blocks"):
@@ -175,6 +189,19 @@ class TestPartitionCommand:
         assert [step["node"] for step in report["trace"]] == ["A", "B", "C"]
         assert report["stability"]["nash_stable"] is True
         assert report["stability"]["externally_stable"] is True
+
+    def test_myerson_run_binds_one_model(self, capsys, monkeypatch):
+        # The run and both verifiers share one model, so the verifiers
+        # read the tables the run already built.
+        bound = []
+        bind = MyersonModel.bind.__func__
+        monkeypatch.setattr(
+            MyersonModel, "bind", classmethod(lambda cls, g, r: bound.append(r) or bind(cls, g, r))
+        )
+        code, out, _ = run(capsys, "partition", "myerson", "--graph", "example1", "--r", "1/2")
+        assert code == 0
+        assert json.loads(out)["stability"]["nash_stable"] is True
+        assert bound == [Fraction(1, 2)]
 
     def test_bad_rational_exits_2(self, capsys):
         code, _, err = run(

@@ -1,4 +1,11 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import coopgraph
+
+PACKAGE = Path(coopgraph.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +17,37 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from coopgraph import *", namespace)
     assert set(coopgraph.__all__) <= namespace.keys()
+
+
+def test_no_module_keeps_a_global_cache():
+    # Caches belong to bound models that callers create, not to modules
+    # (an lru_cache would also pin every graph it was called with).
+    cached = []
+    for info in pkgutil.iter_modules(coopgraph.__path__):
+        module = importlib.import_module(f"coopgraph.{info.name}")
+        cached += [f"{info.name}.{name}" for name, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert cached == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports names to re-export them.
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert unused == {}

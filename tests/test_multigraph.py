@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopgraph import (
     EdgeListError,
@@ -16,6 +18,12 @@ from coopgraph import (
 )
 
 from conftest import brute_force_profiles, random_multigraph
+
+# Any whitespace-free label, with '#' (the edge-list comment character)
+# drawn often enough to reach both outcomes of serialization.
+LABELS = st.text(st.one_of(st.sampled_from("#abcdefgh"), st.characters()), min_size=1, max_size=4).filter(
+    lambda s: s.split() == [s]
+)
 
 
 class TestParsing:
@@ -90,6 +98,33 @@ class TestSerialization:
             text = serialize_edge_list(g)
             h = parse_edge_list(text)
             assert serialize_edge_list(h) == text
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # Built from edges alone, so every node is mentioned (isolated
+        # nodes are not representable) and labels keep first-mention order.
+        pool = data.draw(st.lists(LABELS, min_size=2, max_size=8, unique=True))
+        pairs = st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)
+        edges = [
+            (u, v, data.draw(st.integers(1, 3)))
+            for u, v in data.draw(st.lists(pairs, min_size=1, max_size=12))
+        ]
+        g = Multigraph(edges)
+        if any("#" in u for u in g.labels):
+            with pytest.raises(ValueError, match="#"):
+                serialize_edge_list(g)
+            return
+        text = serialize_edge_list(g)
+        h = parse_edge_list(text)
+        assert h == g
+        assert serialize_edge_list(h) == text
+
+    def test_comment_character_in_label_refused(self):
+        # Written out, "x y#z" would parse back as the edge x-y.
+        g = Multigraph([("x", "y#z"), ("y", "w")])
+        with pytest.raises(ValueError, match="'y#z'"):
+            serialize_edge_list(g)
 
 
 class TestInvariants:

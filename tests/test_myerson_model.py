@@ -25,6 +25,7 @@ from coopgraph import (
     GREEDY_BEST,
     ROUND_ROBIN,
     SEEDED_RANDOM,
+    STABLE,
     Move,
     Multigraph,
     MyersonModel,
@@ -45,10 +46,12 @@ from coopgraph import (
 )
 from coopgraph import myerson
 from coopgraph.myerson import _block_table
+from coopgraph.reports import partition_from_json
 
 from conftest import reference_allocation, reference_node_path_counts
 
-PLANTED = Path(__file__).resolve().parent / "data" / "myerson" / "planted30.edges"
+DATA = Path(__file__).resolve().parent / "data" / "myerson"
+PLANTED = DATA / "planted30.edges"
 
 
 def ref_value(g: Multigraph, block, node: str, r: Fraction) -> Fraction:
@@ -149,16 +152,23 @@ def ref_first_improving(g, p, r):
     return None
 
 
-def ref_unblocked_entry(g, p, r):
+def ref_beneficial_entries(g, p, r):
+    """Every (node, block index) entry that raises the node's payoff, in
+    the order the external check visits them."""
     for node in sorted(p.nodes):
         current = ref_value(g, p.blocks[p.block_of(node)], node, r)
         for k, block in enumerate(p.blocks):
-            if k == p.block_of(node) or ref_value(g, block | {node}, node, r) <= current:
-                continue
-            joined = reference_allocation(g, block | {node})
-            before = reference_allocation(g, block)
-            if not any(joined[j].evaluate(r) < before[j].evaluate(r) for j in block):
-                return node, k
+            if k != p.block_of(node) and ref_value(g, block | {node}, node, r) > current:
+                yield node, k
+
+
+def ref_unblocked_entry(g, p, r):
+    for node, k in ref_beneficial_entries(g, p, r):
+        block = p.blocks[k]
+        joined = reference_allocation(g, block | {node})
+        before = reference_allocation(g, block)
+        if not any(joined[j].evaluate(r) < before[j].evaluate(r) for j in block):
+            return node, k
     return None
 
 
@@ -208,7 +218,8 @@ def test_derived_tables_equal_tables_built_by_search(data):
 
 
 class TestTableCache:
-    """The model builds each block's table once, and a join needs none."""
+    """The model builds each block's table once, a join needs none, and
+    the verifiers read the tables a run or a join already left."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -220,6 +231,13 @@ class TestTableCache:
             return build(model, block)
 
         monkeypatch.setattr(MyersonModel, "_build", counted)
+        return log
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        log: list[frozenset] = []
+        search = myerson._block_table
+        monkeypatch.setattr(myerson, "_block_table", lambda g, block: log.append(block) or search(g, block))
         return log
 
     @pytest.fixture(params=["example1", "planted30"])
@@ -250,11 +268,8 @@ class TestTableCache:
         assert builds == [p.blocks[0], p.blocks[1]]
         assert p.blocks[1] | {node} not in model.tables
 
-    def test_a_run_builds_no_block_twice(self, builds, graph_and_start, monkeypatch):
+    def test_a_run_builds_no_block_twice(self, builds, searched, graph_and_start):
         g, p = graph_and_start
-        searched: list[frozenset] = []
-        search = myerson._block_table
-        monkeypatch.setattr(myerson, "_block_table", lambda g, block: searched.append(block) or search(g, block))
         model = MyersonModel.bind(g, Fraction(7, 8))
         _, trace = model.better_response(p)
         assert len(builds) == len(set(builds)) == model.misses
@@ -269,3 +284,33 @@ class TestTableCache:
             q = apply_move(q, step.move)
         assert grown and grown <= set(builds)
         assert not grown & set(searched)
+
+    def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
+        # The run's last pass valued every deviation from the final
+        # partition, so the check only reads cached tables.
+        g, p = graph_and_start
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        final, trace = model.better_response(p)
+        assert trace.status == STABLE
+        misses = model.misses
+        assert model.nash_stable(final) == (True, None)
+        assert model.misses == misses
+
+    def test_external_check_derives_each_entered_block(self, searched):
+        # Two beneficial entries are blocked by an incumbent before an
+        # unblocked one is found. Each entered block's table is derived
+        # from the block's own, never searched.
+        g = parse_edge_list(PLANTED.read_text())
+        p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
+        r = Fraction(1, 2)
+        entry = ref_unblocked_entry(g, p, r)
+        entered = []
+        for node, k in ref_beneficial_entries(g, p, r):
+            entered.append(p.blocks[k] | {node})
+            if (node, k) == entry:
+                break
+        assert entry is not None and len(entered) == 3
+        model = MyersonModel.bind(g, r)
+        assert model.external_stability(p) == (False, entry)
+        assert all(block in model.tables for block in entered)
+        assert not set(entered) & set(searched)
