@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -172,7 +173,10 @@ def _cmd_partition_myerson(args) -> int:
 
 def _cmd_myerson_value(args) -> int:
     g = _resolve_graph(args.graph)
-    coalition = [part for part in args.coalition.split(",") if part]
+    # Labels are split at commas; a backslash before a comma or another
+    # backslash makes that character literal, as in canonical_form.
+    parts = re.findall(r"(?:\\[,\\]|[^,\\]|\\(?![,\\]))+", args.coalition)
+    coalition = [re.sub(r"\\([,\\])", r"\1", part) for part in parts]
     if not coalition:
         raise ValueError("--coalition must list at least one node")
     value = component_characteristic(g, coalition)
@@ -309,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p_myerson.add_subparsers(dest="query", required=True)
     mv = msub.add_parser("value", help="coalition worth and allocation")
     mv.add_argument("--graph", required=True)
-    mv.add_argument("--coalition", required=True)
+    mv.add_argument(
+        "--coalition", required=True,
+        help="comma-separated labels; write \\, for a comma in a label, \\\\ for a backslash",
+    )
     mv.add_argument("--r")
     mv.set_defaults(func=_cmd_myerson_value)
 

@@ -7,42 +7,41 @@ value of the component-additive game; the Shapley-form computation is
 kept as an exponential-size oracle for cross-checking.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
-r), which owns a cache of block tables keyed by the block's frozenset. A
-table holds the block's member positions and all-pairs hop distances and
-geodesic counts, from one BFS per member over graph indices. From it:
+r), which caches one table per block: member positions, all-pairs hop
+distances and geodesic counts (one BFS per member), and each member's
+row bucketed by distance. From it:
 
 * a member i's payoff counts, per length k, the geodesics of the block
   that contain i: sigma(i, t) for each pair (i, t), and
   sigma(s, i) sigma(i, t) for each pair s, t with d(s, i) + d(i, t) =
-  d(s, t). That is O(|S|^2) for the mover alone, and it is remembered
-  per (block, node), since every target of one node reuses it;
-* a node i joining block T needs no table of T + {i}: d(i, t) is one
-  more than the least d_T(u, t) over i's neighbours u in T, sigma(i, t)
-  sums mult(i, u) sigma_T(u, t) over the u attaining it, and a pair s, t
-  of T gains geodesics through i exactly when d(s, i) + d(i, t) <=
-  d_T(s, t) or s and t are disconnected in T. Once such a join is
-  accepted, the table of T + {i} is derived from T's the same way in
-  O(|T|^2); any other new block takes one BFS per member.
+  d(s, t). Only the buckets with d(s, t) >= 2 d(i, s) of each s are
+  visited. It is remembered per (block, node);
+* a node i joining block T needs no table of T + {i}: its distances and
+  counts come from its neighbours' rows in T, and a pair s, t of T gains
+  the geodesics through i exactly when d(s, i) + d(i, t) <= d_T(s, t)
+  or s and t are disconnected in T. An accepted join grows T's table in
+  place over just those pairs, and the source block's table is dropped,
+  so the cache holds the live blocks only.
 
-A payoff is sum_k c_k r^k / (k+1) for the count vector c. The model
-keeps it as an integer over one common denominator, so a gain is the
-difference of two integers and becomes a single Fraction. The
-incumbents of external_stability_check are read the same way, from the
-table of the entered block grown by one, which is derived from the
-block's own. Full allocations (every member's polynomial, for reports)
-come from node_path_counts.
+A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
+integer over one common denominator; dynamics build a Fraction only for
+an accepted move. external_stability_check reads the incumbents from the
+entered block's table grown by one. Report allocations come
+from node_path_counts.
 
-The game has no potential, so dynamics run through run_dynamics with a
-canonical-form cycle key per accepted partition. myerson_payoff alone
-cannot check a start, because the callback never sees the graph's
-labels; myerson_better_response does.
+The game has no potential, so dynamics run on partition.run_schedule
+with a canonical-form cycle key. Under run_dynamics (myerson_payoff) the
+model never learns which move was accepted: the joined block's table,
+when first asked for, takes over the target's and grows it, and the
+source's stays cached. That callback cannot check a start either, since
+it never sees g's labels.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import SizeGateError
 from .multigraph import (
@@ -59,9 +58,10 @@ from .partition import (
     Partition,
     Schedule,
     Trace,
+    TraceStep,
     _check_move,
-    enumerate_deviations,
-    run_dynamics,
+    canonical_form,
+    run_schedule,
 )
 
 ORACLE_MAX_NODES = 12
@@ -273,73 +273,102 @@ def _check_r(r) -> Fraction:
 class _BlockTable:
     """One block's member positions (pos maps graph index to row),
     all-pairs hop distances (-1 across components) and geodesic counts,
-    plus the payoffs already derived from them, keyed by graph index and
-    scaled by the model's denominator: own for members, joins for nodes
-    joining the block."""
+    and per row the rows by distance: rows[a][d] for d >= 1, rows[a][0]
+    those a cannot reach. own and joins hold the payoffs already derived,
+    keyed by graph index and scaled by the model's denominator: own for
+    members, joins for nodes joining the block."""
 
-    __slots__ = ("pos", "dist", "sigma", "own", "joins")
+    __slots__ = ("pos", "dist", "sigma", "rows", "own", "joins")
 
     def __init__(self, pos: dict[int, int], dist: list[list[int]], sigma: list[list[int]]):
         self.pos = pos
         self.dist = dist
         self.sigma = sigma
+        self.rows = [_buckets(row) for row in dist]
         self.own: dict[int, int] = {}
         self.joins: dict[int, int] = {}
 
-    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int]]:
-        """Hop distances and geodesic counts to every member from an outside
-        node with these (graph index -> multiplicity) links: one more than
-        the least distance from a linked member, counts summed over the
-        linked members attaining it."""
-        pos, dist, sigma = self.pos, self.dist, self.sigma
+    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int], list[set]]:
+        """Hop distances and geodesic counts to the members from an outside
+        node with these (graph index -> multiplicity) links, and the
+        members by distance as in rows, built ring by ring from the linked
+        members' rows."""
+        pos, sigma, rows = self.pos, self.sigma, self.rows
         di = [-1] * len(pos)
         si = [0] * len(pos)
+        linked, ring = [], set()
         for u, mult in links.items():
             a = pos.get(u)
-            if a is None:
-                continue
-            su = sigma[a]
-            for x, d in enumerate(dist[a]):
-                if d < 0:
-                    continue
-                d += 1
-                if di[x] < 0 or d < di[x]:
-                    di[x], si[x] = d, mult * su[x]
-                elif d == di[x]:
-                    si[x] += mult * su[x]
-        return di, si
+            if a is not None:
+                linked.append((mult, rows[a], sigma[a]))
+                di[a], si[a] = 1, mult
+                ring.add(a)
+        level = [set(), ring]
+        reached = set(ring)
+        while ring:
+            d = len(level) - 1
+            ring = set().union(*(row[d] for _, row, _ in linked if d < len(row))) - reached
+            for mult, row, su in linked:
+                if d < len(row):
+                    for x in row[d] & ring:
+                        si[x] += mult * su[x]
+            for x in ring:
+                di[x] = d + 1
+            level.append(ring)
+            reached |= ring
+        level[0] = set(range(len(pos))) - reached
+        level.pop()
+        return di, si, level
 
-    def joined(self, i: int, di: list[int], si: list[int]) -> "_BlockTable":
-        """The table of the block plus node i, whose entry() is (di, si):
-        a pair's geodesics through i replace its own when shorter and add
-        to them when as short. O(q^2), no BFS."""
-        dist, sigma = [], []
-        for ds, ss, a, sa in zip(self.dist, self.sigma, di, si):
-            if a < 0:
-                dist.append(ds + [-1])
-                sigma.append(ss + [0])
-                continue
-            rd, rs = [], []
-            for dst, sst, b, sb in zip(ds, ss, di, si):
-                length = a + b
-                if b < 0 or (0 <= dst < length):
-                    rd.append(dst)
-                    rs.append(sst)
-                elif dst == length:
-                    rd.append(dst)
-                    rs.append(sst + sa * sb)
-                else:
-                    rd.append(length)
-                    rs.append(sa * sb)
-            rd.append(a)
-            rs.append(sa)
-            dist.append(rd)
-            sigma.append(rs)
+    def grow(self, g: Multigraph, node: str) -> None:
+        """Turn this into the table of the block plus the node, in place:
+        its row and column are appended, and each pair _detours finds
+        gains its geodesics through the node, which replace its own when
+        shorter."""
+        i = g.index_of(node)
+        di, si, level = self.entry(g.adjacency[i])
+        dist, sigma, rows = self.dist, self.sigma, self.rows
+        for s, d, b, near in list(_detours(rows, di, level)):
+            length = di[s] + b
+            for t in near:
+                if b == di[s] and t < s:
+                    continue
+                w = si[s] * si[t]
+                if length == d:
+                    sigma[s][t] += w
+                    sigma[t][s] += w
+                    continue
+                dist[s][t] = dist[t][s] = length
+                sigma[s][t] = sigma[t][s] = w
+                rows[s][d].remove(t)
+                rows[t][d].remove(s)
+                _file(rows[s], length, t)
+                _file(rows[t], length, s)
+        q = len(dist)
+        for a, ds, ss, x, row in zip(di, dist, sigma, si, rows):
+            ds.append(a)
+            ss.append(x)
+            _file(row, a if a > 0 else 0, q)
         dist.append(di + [0])
         sigma.append(si + [1])
-        pos = dict(self.pos)
-        pos[i] = len(pos)
-        return _BlockTable(pos, dist, sigma)
+        rows.append(level)
+        self.pos[i] = q
+        self.own.clear()
+        self.joins.clear()
+
+
+def _file(row: list[set], d: int, t: int) -> None:
+    while len(row) <= d:
+        row.append(set())
+    row[d].add(t)
+
+
+def _buckets(dist_row: list[int]) -> list[set]:
+    row = [set() for _ in range(max(0, *dist_row) + 1)]
+    for t, d in enumerate(dist_row):
+        if d:
+            row[d if d > 0 else 0].add(t)
+    return row
 
 
 def _block_table(g: Multigraph, block: frozenset) -> _BlockTable:
@@ -353,37 +382,49 @@ def _block_table(g: Multigraph, block: frozenset) -> _BlockTable:
     )
 
 
-def _containment(dist: list[list[int]], di: list[int], si: list[int]) -> list[int]:
-    # Per length, the geodesics containing node i, from i's hop distances
-    # di and geodesic counts si to the block's members (i itself excluded,
-    # or at distance 0). Pairs (i, t) count sigma(i, t); a pair s, t of
-    # the block counts sigma(s, i) sigma(i, t) when the detour through i
-    # is no longer than d(s, t) or s and t are disconnected. Inside i's
-    # own block the detour is never shorter, so that is d(s, i) + d(i, t)
-    # = d(s, t).
-    reach = [t for t, d in enumerate(di) if d > 0]
-    if not reach:
-        return []
-    counts = [0] * (2 * max(di[t] for t in reach) + 1)
-    for t in reach:
-        counts[di[t]] += si[t]
-    for x, s in enumerate(reach):
-        ds, d_s, s_s = dist[s], di[s], si[s]
-        for t in reach[x + 1:]:
-            length = d_s + di[t]
-            dst = ds[t]
-            if dst < 0 or length <= dst:
-                counts[length] += s_s * si[t]
-    return counts
+def _detours(rows: list[list[set]], di: list[int], level: list[set]) -> Iterator[tuple]:
+    # The pairs s, t of a block with di[s] + di[t] <= d(s, t), or
+    # disconnected, for a node i with distances di (bucketed as level):
+    # those whose geodesics i can lie on. From the nearer end s, d(s, t)
+    # >= 2 di[s]. Yields (s, d, b, near): near holds the t with d(s, t) =
+    # d (0 if disconnected) and di[t] = b >= di[s], so a pair with b =
+    # di[s] comes from both ends.
+    for a in range(1, len(level)):
+        for s in level[a]:
+            row = rows[s]
+            for d in range(2 * a, len(row)):
+                if row[d]:
+                    for b, ring in enumerate(level[a : d - a + 1], a):
+                        near = row[d] & ring
+                        if near:
+                            yield s, d, b, near
+            if row[0]:
+                for b, ring in enumerate(level[a:], a):
+                    near = row[0] & ring
+                    if near:
+                        yield s, 0, b, near
+
+
+def _containment(
+    rows: list[list[set]], di: list[int], si: list[int], level: list[set]
+) -> list[int]:
+    # Per length, the geodesics containing node i: sigma(i, t) per member
+    # t and sigma(s, i) sigma(i, t) per pair from _detours. Counts are
+    # doubled, and a pair met from both ends adds once from each.
+    get = si.__getitem__
+    counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
+    for s, d, b, near in _detours(rows, di, level):
+        counts[di[s] + b] += (1 if b == di[s] else 2) * si[s] * sum(map(get, near))
+    return [c // 2 for c in counts]
 
 
 class MyersonModel:
     """A graph and a discount r bound for exact Myerson gains.
 
     Payoffs are integers over den: weights[k] = den r^k / (k+1) for every
-    geodesic length k < max(n, 1). Block tables are built on first use
-    and kept for the life of the model; hits and misses count table
-    lookups. Bind with MyersonModel.bind.
+    geodesic length k < max(n, 1). Block tables are built on first use;
+    hits and misses count table lookups. better_response keeps the
+    tables of the live blocks only. Bind with MyersonModel.bind.
     """
 
     def __init__(self, g: Multigraph, weights: tuple[int, ...], den: int):
@@ -415,14 +456,16 @@ class MyersonModel:
         return t
 
     def _build(self, block: frozenset) -> _BlockTable:
-        # A block one node larger than a cached one, as an accepted join
-        # makes, is derived from that table; any other takes a BFS per member.
-        index, adjacency = self.g.index_of, self.g.adjacency
+        # A block one node larger than a cached one, as a join accepted by
+        # run_dynamics or an external entry makes, takes that table over
+        # and grows it in place: under run_dynamics the smaller block has
+        # left the partition. Any other block takes a BFS per member.
         for node in block:
-            base = self.tables.get(block - {node})
-            if base is not None:
-                i = index(node)
-                return base.joined(i, *base.entry(adjacency[i]))
+            smaller = block - {node}
+            if smaller in self.tables:
+                t = self.tables.pop(smaller)
+                t.grow(self.g, node)
+                return t
         return _block_table(self.g, block)
 
     def _scaled(self, counts: list[int]) -> int:
@@ -436,7 +479,7 @@ class MyersonModel:
         v = t.own.get(i)
         if v is None:
             a = t.pos[i]
-            v = t.own[i] = self._scaled(_containment(t.dist, t.dist[a], t.sigma[a]))
+            v = t.own[i] = self._scaled(_containment(t.rows, t.dist[a], t.sigma[a], t.rows[a]))
         return v
 
     def join_value(self, block: frozenset, node: str) -> int:
@@ -446,7 +489,7 @@ class MyersonModel:
         i = self.g.index_of(node)
         v = t.joins.get(i)
         if v is None:
-            v = t.joins[i] = self._scaled(_containment(t.dist, *t.entry(self.g.adjacency[i])))
+            v = t.joins[i] = self._scaled(_containment(t.rows, *t.entry(self.g.adjacency[i])))
         return v
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
@@ -462,14 +505,15 @@ class MyersonModel:
 
     def better_response(self, start: Partition, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
         start.check_cover(self.g.labels)
-        return run_dynamics(self.gain, start, schedule)
+        return run_schedule(_MyersonState(self, start), schedule)
 
     def nash_stable(self, p: Partition) -> tuple[bool, Optional[Move]]:
         p.check_cover(self.g.labels)
-        for node in sorted(p.nodes):
-            for mv in enumerate_deviations(p, node):
-                if self.gain(p, mv) > 0:
-                    return False, mv
+        state = _MyersonState(self, p)
+        for node in state.nodes:
+            for target, gain in state.deviations(node):
+                if gain > 0:
+                    return False, state.move(node, target)
         return True, None
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
@@ -480,11 +524,64 @@ class MyersonModel:
                 if k == src or self.join_value(block, node) <= self.value(p.blocks[src], node):
                     continue
                 # block's table is cached by join_value, so the joined
-                # block's table is derived from it without a search.
+                # block's table grows from it without a search, and block's
+                # own is searched again once.
                 joined = block | {node}
                 if not any(self.value(joined, j) < self.value(block, j) for j in block):
                     return False, (node, k)
         return True, None
+
+
+class _MyersonState:
+    """The blocks for run_schedule, numbered as apply_move numbers them.
+    Gains are scaled integers. An accepted join grows the target's table
+    in place; the source's table is dropped."""
+
+    def __init__(self, model: MyersonModel, p: Partition):
+        self.model = model
+        self.blocks = list(p.blocks)
+        self.block_of = {u: k for k, block in enumerate(self.blocks) for u in block}
+        self.nodes = sorted(self.block_of)
+
+    def deviations(self, node: str):
+        model, blocks = self.model, self.blocks
+        s = self.block_of[node]
+        now = model.value(blocks[s], node)
+        for k, block in enumerate(blocks):
+            if k != s:
+                yield k, model.join_value(block, node) - now
+        if len(blocks[s]) > 1:
+            yield None, -now
+
+    def move(self, node: str, target: Optional[int]) -> Move:
+        return Move(node, self.block_of[node], target)
+
+    def accept(self, node: str, target: Optional[int], gain: int) -> TraceStep:
+        mv = self.move(node, target)
+        model, blocks, s = self.model, self.blocks, mv.source
+        source = blocks[s]
+        del model.tables[source]
+        if target is None:
+            target = len(blocks)
+            blocks.append(frozenset((node,)))
+        else:
+            t = model.tables.pop(blocks[target])
+            t.grow(model.g, node)
+            blocks[target] |= {node}
+            model.tables[blocks[target]] = t
+        self.block_of[node] = target
+        if len(source) > 1:
+            blocks[s] = source - {node}
+        else:
+            del blocks[s]
+            self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
+        return TraceStep(mv, Fraction(gain, model.den), None)
+
+    def cycle_key(self) -> bytes:
+        return canonical_form(self.partition())
+
+    def partition(self) -> Partition:
+        return Partition(self.blocks)
 
 
 def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:

@@ -4,8 +4,8 @@ One schedule loop, run_schedule, drives every dynamics run. It asks a
 state object for the exact gain of each deviation, accepts a move only
 on strictly positive gain, and reports how it stopped (Stable,
 CycleDetected or CapReached). run_dynamics adapts a payoff callback over
-immutable Partition values to it; the hedonic engine supplies its own
-index-array state. Payoffs backed by a potential always stop Stable.
+immutable Partition values to it; the hedonic and Myerson engines supply
+their own states. Payoffs backed by a potential always stop Stable.
 """
 
 from __future__ import annotations
@@ -116,9 +116,20 @@ class Partition:
 
 def canonical_form(p: Partition) -> bytes:
     """Canonical byte encoding: members sorted within blocks, blocks sorted
-    by least member. Two partitions are equal iff their encodings are."""
+    by least member, members joined by "," and blocks by "|". A label's
+    backslashes, commas and bars are escaped with a backslash, so two
+    partitions are equal iff their encodings are."""
     blocks = sorted(sorted(b) for b in p.blocks)
-    return "|".join(",".join(b) for b in blocks).encode("utf-8")
+    text = "|".join(",".join(b) for b in blocks)
+    # Unless a label needs escaping, there are no backslashes and one
+    # separator fewer than members.
+    if "\\" in text or text.count(",") + text.count("|") >= sum(map(len, blocks)):
+        text = "|".join(",".join(map(_escape, b)) for b in blocks)
+    return text.encode("utf-8")
+
+
+def _escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace(",", "\\,").replace("|", "\\|")
 
 
 def _check_move(p: Partition, mv: Move) -> None:

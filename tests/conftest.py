@@ -6,7 +6,9 @@ implementation that shares none of its logic: brute_force_profiles
 counts geodesics, and restricted_myerson_oracle sums Shapley marginals of
 a fixed geodesic game over every coalition of a chosen communication
 graph. reference_node_path_counts keeps the library's former cubic
-containment loop as a second, independent reference.
+containment loop as a second, independent reference, and
+reference_containment the Myerson model's former all-pairs count of the
+geodesics through one node.
 """
 
 from __future__ import annotations
@@ -217,3 +219,25 @@ def reference_allocation(g: Multigraph, coalition) -> dict[str, CharPoly]:
         u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
         for u, vec in profile.counts.items()
     }
+
+
+def reference_containment(dist, di, si):
+    """Per length, the geodesics of a block containing node i, by a scan of
+    every pair of the block's members: dist is the block's all-pairs hop
+    distance table (-1 across components), di and si are i's hop
+    distances and geodesic counts to the members (i itself at distance 0
+    when it is a member). A pair (i, t) counts sigma(i, t); a pair s, t
+    counts sigma(s, i) sigma(i, t) when the route through i is no longer
+    than d(s, t) or s and t are disconnected."""
+    reach = [t for t, d in enumerate(di) if d > 0]
+    if not reach:
+        return []
+    counts = [0] * (2 * max(di[t] for t in reach) + 1)
+    for t in reach:
+        counts[di[t]] += si[t]
+    for x, s in enumerate(reach):
+        for t in reach[x + 1 :]:
+            length = di[s] + di[t]
+            if dist[s][t] < 0 or length <= dist[s][t]:
+                counts[length] += si[s] * si[t]
+    return counts

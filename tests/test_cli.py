@@ -203,6 +203,25 @@ class TestPartitionCommand:
         assert json.loads(out)["stability"]["nash_stable"] is True
         assert bound == [Fraction(1, 2)]
 
+    def test_myerson_cycle_key_tells_comma_labels_apart(self, capsys, tmp_path):
+        # The start and the partition after the first greedy move,
+        # {a, b,c | b, c} and {a, b, c | b,c}, would share one cycle key
+        # if labels were joined unescaped; the run would then stop
+        # CycleDetected after one move.
+        graph = tmp_path / "comma.edges"
+        graph.write_text("a b 2\nb c 2\nb b,c 2\n")
+        start = tmp_path / "start.json"
+        start.write_text(partition_to_json(Partition([{"a", "b,c"}, {"b", "c"}])))
+        code, out, _ = run(
+            capsys, "partition", "myerson", "--graph", str(graph), "--r", "1/4",
+            "--schedule", "greedy", "--init", str(start),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "Stable"
+        assert len(report["trace"]) == 2
+        assert report["partition"] == {"blocks": [["a", "b", "b,c", "c"]]}
+
     def test_bad_rational_exits_2(self, capsys):
         code, _, err = run(
             capsys, "partition", "hedonic", "--graph", "example1", "--alpha", "0.2"
@@ -234,6 +253,20 @@ class TestMyersonValueCommand:
         )
         assert code == 2
         assert "Q" in err
+
+    def test_escaped_comma_names_a_label(self, capsys, tmp_path):
+        graph = tmp_path / "comma.edges"
+        graph.write_text("a,b c\nc d\n")
+        value = ("myerson", "value", "--graph", str(graph), "--coalition")
+        code, out, _ = run(capsys, *value, "a\\,b,c")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["coalition"] == ["a,b", "c"]
+        assert payload["value"]["poly"] == ["0", "1"]
+        # Unescaped, the comma still separates labels.
+        code, _, err = run(capsys, *value, "a,b,c")
+        assert code == 2
+        assert "'a'" in err
 
 
 class TestStabilityCommand:

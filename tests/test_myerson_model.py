@@ -1,15 +1,16 @@
 """Differential tests of the Myerson engine against independent references.
 
 MyersonModel reads every gain from cached block tables: a member's
-payoff from its block's all-pairs distances and geodesic counts, a
-joining node's payoff derived from the target block's table without a
-table of the joined block, and the table of a block that an accepted
-join creates derived from the block it grew from. node_path_counts uses
-Brandes accumulation. The references in conftest share none of that:
-reference_node_path_counts is the direct cubic loop over (x, s, t) on the
-induced subgraph, and myerson_shapley_oracle sums Shapley marginals over
-every coalition. Dynamics are compared move for move with run_dynamics
-driven by a reference payoff.
+payoff from its block's distance-bucketed all-pairs distances and
+geodesic counts, a joining node's payoff derived from the target block's
+table without a table of the joined block, and the table of a block that
+an accepted join creates grown in place from the target's. node_path_counts
+uses Brandes accumulation. The references in conftest share none of
+that: reference_node_path_counts is the direct cubic loop over (x, s, t)
+on the induced subgraph, reference_containment scans every pair of a
+block, and myerson_shapley_oracle sums Shapley marginals over every
+coalition. Dynamics are compared move for move with run_dynamics driven
+by a reference payoff.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopgraph import (
@@ -45,10 +46,10 @@ from coopgraph import (
     run_dynamics,
 )
 from coopgraph import myerson
-from coopgraph.myerson import _block_table
+from coopgraph.myerson import _block_table, _containment
 from coopgraph.reports import partition_from_json
 
-from conftest import reference_allocation, reference_node_path_counts
+from conftest import reference_allocation, reference_containment, reference_node_path_counts
 
 DATA = Path(__file__).resolve().parent / "data" / "myerson"
 PLANTED = DATA / "planted30.edges"
@@ -202,6 +203,24 @@ def test_dynamics_match_the_reference_payoff(data):
     assert got == want
 
 
+def assert_same_table(table, built):
+    """Equal distances and geodesic counts for every pair of members,
+    whatever rows the two tables give them."""
+    assert table.pos.keys() == built.pos.keys()
+    for u, a in table.pos.items():
+        for v, b in table.pos.items():
+            assert table.dist[a][b] == built.dist[built.pos[u]][built.pos[v]]
+            assert table.sigma[a][b] == built.sigma[built.pos[u]][built.pos[v]]
+
+
+def assert_buckets_match_dist(table):
+    for a, (row, dist) in enumerate(zip(table.rows, table.dist)):
+        assert max(dist) < len(row)
+        for d, bucket in enumerate(row):
+            want = {t for t, dt in enumerate(dist) if t != a and (dt == d if d else dt < 0)}
+            assert bucket == want
+
+
 @SETTINGS
 @given(st.data())
 def test_derived_tables_equal_tables_built_by_search(data):
@@ -210,11 +229,77 @@ def test_derived_tables_equal_tables_built_by_search(data):
     model = MyersonModel.bind(g, 1)
     model.better_response(p)
     for block, table in model.tables.items():
-        built = _block_table(g, block)
-        for u, a in table.pos.items():
-            for v, b in table.pos.items():
-                assert table.dist[a][b] == built.dist[built.pos[u]][built.pos[v]]
-                assert table.sigma[a][b] == built.sigma[built.pos[u]][built.pos[v]]
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_match_dist(table)
+
+
+@SETTINGS
+@given(st.data())
+def test_a_table_grown_in_place_equals_the_searched_one(data):
+    # The block may be disconnected, and the node may link it up, touch
+    # one component, or not link to it at all; growing again from the
+    # grown table exercises buckets that growth itself moved.
+    g = data.draw(graphs())
+    assume(g.n >= 2)
+    block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
+    outside = data.draw(st.permutations(sorted(set(g.labels) - block)))
+    table = _block_table(g, block)
+    for node in outside[: data.draw(st.integers(1, len(outside)))]:
+        table.grow(g, node)
+        block |= {node}
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_match_dist(table)
+
+
+def without_trailing_zeros(counts):
+    counts = list(counts)
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+@SETTINGS
+@given(st.data())
+def test_bucketed_containment_matches_the_all_pairs_reference(data):
+    # For every member (its own row) and every other node (its entry), on
+    # a searched table or one grown from a smaller block.
+    g = data.draw(graphs())
+    block = data.draw(st.lists(st.sampled_from(g.labels), min_size=1, unique=True))
+    grown = data.draw(st.integers(0, len(block) - 1))
+    table = _block_table(g, frozenset(block[: len(block) - grown]))
+    for node in block[len(block) - grown :]:
+        table.grow(g, node)
+    for node in g.labels:
+        i = g.index_of(node)
+        if i in table.pos:
+            a = table.pos[i]
+            di, si, level = table.dist[a], table.sigma[a], table.rows[a]
+        else:
+            di, si, level = table.entry(g.adjacency[i])
+        got = _containment(table.rows, di, si, level)
+        want = reference_containment(table.dist, di, si)
+        assert without_trailing_zeros(got) == without_trailing_zeros(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_tables_after_a_run_are_the_live_blocks_and_fresh(data):
+    # A run retires the tables of the blocks a move leaves behind and grows
+    # the target's in place, dropping the payoffs cached on it; every gain
+    # from the final partition then matches the reference.
+    g = data.draw(graphs(max_nodes=7))
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    schedule = Schedule(
+        policy=data.draw(st.sampled_from([ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])),
+        max_steps=data.draw(st.integers(1, 4)),
+    )
+    model = MyersonModel.bind(g, r)
+    final, _ = model.better_response(p, schedule)
+    assert set(model.tables) <= set(final.blocks)
+    for node in sorted(final.nodes):
+        for mv in enumerate_deviations(final, node):
+            assert model.gain(final, mv) == ref_gain(g, final, mv, r)
 
 
 class TestTableCache:
@@ -269,21 +354,44 @@ class TestTableCache:
         assert p.blocks[1] | {node} not in model.tables
 
     def test_a_run_builds_no_block_twice(self, builds, searched, graph_and_start):
+        # Tables follow the live blocks: after a run every cached table is
+        # a block of the final partition. The block an accepted join
+        # creates is grown from the target's table in place, so it is
+        # never built, let alone searched.
         g, p = graph_and_start
         model = MyersonModel.bind(g, Fraction(7, 8))
-        _, trace = model.better_response(p)
-        assert len(builds) == len(set(builds)) == model.misses
+        final, trace = model.better_response(p)
+        assert len(builds) == model.misses
         assert model.hits > 0
-        # The block an accepted join creates is derived from the target's
-        # table, never searched again.
+        assert set(model.tables) <= set(final.blocks)
         grown = set()
         q = p
         for step in trace.steps:
             if not step.move.is_fresh:
                 grown.add(q.blocks[step.move.target] | {step.move.node})
             q = apply_move(q, step.move)
+        assert grown and not grown & set(builds)
+        assert not grown & set(searched)
+
+    def test_a_callback_run_grows_the_target_table_in_place(
+        self, builds, searched, graph_and_start
+    ):
+        # run_dynamics never tells the model which move it accepted. When a
+        # joined block's table is first asked for, it takes over the
+        # target's table, which has left the partition, and grows it.
+        g, p = graph_and_start
+        model = MyersonModel.bind(g, Fraction(7, 8))
+        _, trace = run_dynamics(model.gain, p)
+        assert len(builds) == model.misses
+        grown, targets, q = set(), set(), p
+        for step in trace.steps:
+            if not step.move.is_fresh:
+                targets.add(q.blocks[step.move.target])
+                grown.add(q.blocks[step.move.target] | {step.move.node})
+            q = apply_move(q, step.move)
         assert grown and grown <= set(builds)
         assert not grown & set(searched)
+        assert not targets & set(model.tables)
 
     def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
         # The run's last pass valued every deviation from the final

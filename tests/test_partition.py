@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopgraph import (
     CAP_REACHED,
@@ -65,6 +67,42 @@ class TestCanonicalForm:
     def test_singletons_in_label_order(self):
         p = Partition.singletons(["b", "a", "c"])
         assert canonical_form(p) == b"a|b|c"
+
+    def test_separators_inside_labels_are_escaped(self):
+        # Joined unescaped, both would read a,b,c|b,c.
+        p = Partition([{"a", "b,c"}, {"b", "c"}])
+        q = Partition([{"a", "b", "c"}, {"b,c"}])
+        assert canonical_form(p) == b"a,b\\,c|b,c"
+        assert canonical_form(q) == b"a,b,c|b\\,c"
+        assert canonical_form(Partition([{"x|y", "\\"}])) == b"\\\\,x\\|y"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_encodings_are_equal_exactly_for_equal_partitions(self, data):
+        # Distinct letters in increasing order with a separator between
+        # neighbours. Each partition keeps some separators inside labels and
+        # splits at the others, and may end a letter with a backslash, so
+        # joined unescaped many such partitions read the same text.
+        letters = sorted(data.draw(st.sets(st.sampled_from("abcdef"), min_size=2, max_size=5)))
+        seps = [data.draw(st.sampled_from(",|")) for _ in letters[1:]]
+
+        def partition():
+            words = [w + data.draw(st.sampled_from(["", "\\"])) for w in letters]
+            blocks, label = [[]], words[0]
+            for sep, word in zip(seps, words[1:]):
+                if data.draw(st.booleans()):
+                    label += sep + word
+                    continue
+                blocks[-1].append(label)
+                label = word
+                if sep == "|":
+                    blocks.append([])
+            blocks[-1].append(label)
+            return Partition(blocks)
+
+        p, q = partition(), partition()
+        assert (canonical_form(p) == canonical_form(q)) == (p == q)
+        assert canonical_form(p) == canonical_form(Partition(reversed(p.blocks)))
 
 
 class TestApplyMove:
