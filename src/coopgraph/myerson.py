@@ -25,9 +25,9 @@ row bucketed by distance. From it:
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
-an accepted move. external_stability_check reads the incumbents from the
-entered block's table grown by one. Report allocations come
-from node_path_counts.
+an accepted move. external_stability_check reads the incumbents from a
+grown copy of the entered block's table. Report allocations come from
+node_path_counts.
 
 The game has no potential, so dynamics run on partition.run_schedule
 with a canonical-form cycle key. Under run_dynamics (myerson_payoff) the
@@ -289,36 +289,28 @@ class _BlockTable:
         self.joins: dict[int, int] = {}
 
     def entry(self, links: dict[int, int]) -> tuple[list[int], list[int], list[set]]:
-        """Hop distances and geodesic counts to the members from an outside
-        node with these (graph index -> multiplicity) links, and the
-        members by distance as in rows, built ring by ring from the linked
-        members' rows."""
-        pos, sigma, rows = self.pos, self.sigma, self.rows
+        """Hop distances and geodesic counts to every member from an outside
+        node with these (graph index -> multiplicity) links: one more than
+        the least distance from a linked member, counts summed over the
+        linked members attaining it; and the members by distance as in
+        rows."""
+        pos, dist, sigma = self.pos, self.dist, self.sigma
         di = [-1] * len(pos)
         si = [0] * len(pos)
-        linked, ring = [], set()
         for u, mult in links.items():
             a = pos.get(u)
-            if a is not None:
-                linked.append((mult, rows[a], sigma[a]))
-                di[a], si[a] = 1, mult
-                ring.add(a)
-        level = [set(), ring]
-        reached = set(ring)
-        while ring:
-            d = len(level) - 1
-            ring = set().union(*(row[d] for _, row, _ in linked if d < len(row))) - reached
-            for mult, row, su in linked:
-                if d < len(row):
-                    for x in row[d] & ring:
-                        si[x] += mult * su[x]
-            for x in ring:
-                di[x] = d + 1
-            level.append(ring)
-            reached |= ring
-        level[0] = set(range(len(pos))) - reached
-        level.pop()
-        return di, si, level
+            if a is None:
+                continue
+            su = sigma[a]
+            for x, d in enumerate(dist[a]):
+                if d < 0:
+                    continue
+                d += 1
+                if di[x] < 0 or d < di[x]:
+                    di[x], si[x] = d, mult * su[x]
+                elif d == di[x]:
+                    si[x] += mult * su[x]
+        return di, si, _buckets(di)
 
     def grow(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the block plus the node, in place:
@@ -355,6 +347,16 @@ class _BlockTable:
         self.pos[i] = q
         self.own.clear()
         self.joins.clear()
+
+    def grown(self, g: Multigraph, node: str) -> "_BlockTable":
+        """A grown copy; this table is left as it is."""
+        t = _BlockTable.__new__(_BlockTable)
+        t.pos, t.own, t.joins = dict(self.pos), {}, {}
+        t.dist = [d[:] for d in self.dist]
+        t.sigma = [s[:] for s in self.sigma]
+        t.rows = [[set(ring) for ring in row] for row in self.rows]
+        t.grow(g, node)
+        return t
 
 
 def _file(row: list[set], d: int, t: int) -> None:
@@ -457,9 +459,9 @@ class MyersonModel:
 
     def _build(self, block: frozenset) -> _BlockTable:
         # A block one node larger than a cached one, as a join accepted by
-        # run_dynamics or an external entry makes, takes that table over
-        # and grows it in place: under run_dynamics the smaller block has
-        # left the partition. Any other block takes a BFS per member.
+        # run_dynamics makes, takes that table over and grows it in place:
+        # the smaller block has left the partition. Any other block takes
+        # a BFS per member.
         for node in block:
             smaller = block - {node}
             if smaller in self.tables:
@@ -523,10 +525,11 @@ class MyersonModel:
             for k, block in enumerate(p.blocks):
                 if k == src or self.join_value(block, node) <= self.value(p.blocks[src], node):
                     continue
-                # block's table is cached by join_value, so the joined
-                # block's table grows from it without a search, and block's
-                # own is searched again once.
+                # block's table is cached by join_value; the joined block's
+                # grows from a copy of it, so neither is searched again.
                 joined = block | {node}
+                if joined not in self.tables:
+                    self.tables[joined] = self.table(block).grown(self.g, node)
                 if not any(self.value(joined, j) < self.value(block, j) for j in block):
                     return False, (node, k)
         return True, None

@@ -120,12 +120,7 @@ def canonical_form(p: Partition) -> bytes:
     backslashes, commas and bars are escaped with a backslash, so two
     partitions are equal iff their encodings are."""
     blocks = sorted(sorted(b) for b in p.blocks)
-    text = "|".join(",".join(b) for b in blocks)
-    # Unless a label needs escaping, there are no backslashes and one
-    # separator fewer than members.
-    if "\\" in text or text.count(",") + text.count("|") >= sum(map(len, blocks)):
-        text = "|".join(",".join(map(_escape, b)) for b in blocks)
-    return text.encode("utf-8")
+    return "|".join(",".join(map(_escape, b)) for b in blocks).encode("utf-8")
 
 
 def _escape(label: str) -> str:

@@ -361,7 +361,7 @@ class TestTableCache:
         g, p = graph_and_start
         model = MyersonModel.bind(g, Fraction(7, 8))
         final, trace = model.better_response(p)
-        assert len(builds) == model.misses
+        assert len(builds) == len(set(builds)) == model.misses
         assert model.hits > 0
         assert set(model.tables) <= set(final.blocks)
         grown = set()
@@ -406,8 +406,8 @@ class TestTableCache:
 
     def test_external_check_derives_each_entered_block(self, searched):
         # Two beneficial entries are blocked by an incumbent before an
-        # unblocked one is found. Each entered block's table is derived
-        # from the block's own, never searched.
+        # unblocked one is found. Each entered block's table is grown from
+        # a copy of the block's own, so no block is searched twice.
         g = parse_edge_list(PLANTED.read_text())
         p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
         r = Fraction(1, 2)
@@ -422,3 +422,4 @@ class TestTableCache:
         assert model.external_stability(p) == (False, entry)
         assert all(block in model.tables for block in entered)
         assert not set(entered) & set(searched)
+        assert len(searched) == len(set(searched))
