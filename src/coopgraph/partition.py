@@ -120,7 +120,13 @@ def canonical_form(p: Partition) -> bytes:
     backslashes, commas and bars are escaped with a backslash, so two
     partitions are equal iff their encodings are."""
     blocks = sorted(sorted(b) for b in p.blocks)
-    return "|".join(",".join(map(_escape, b)) for b in blocks).encode("utf-8")
+    text = "|".join(",".join(b) for b in blocks)
+    # Some label needs escaping exactly when the plain text has a
+    # backslash or as many separators as members. Sweeps encode every
+    # candidate, so the usual case skips the per-label pass.
+    if "\\" in text or text.count(",") + text.count("|") >= sum(map(len, blocks)):
+        text = "|".join(",".join(map(_escape, b)) for b in blocks)
+    return text.encode("utf-8")
 
 
 def _escape(label: str) -> str:
