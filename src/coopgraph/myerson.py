@@ -448,7 +448,8 @@ class MyersonModel:
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
-        """The block's table, built on the first request."""
+        """The block's table, built on the first request. A cached table
+        of the block less one node is taken over for it (see _build)."""
         t = self.tables.get(block)
         if t is None:
             self.misses += 1
