@@ -12,6 +12,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -31,6 +32,7 @@ from .hedonic import (
 from .multigraph import Multigraph, parse_edge_list, serialize_edge_list
 from .myerson import (
     MyersonModel,
+    _check_r,
     component_characteristic,
     external_stability_check,
     myerson_allocation,
@@ -152,6 +154,8 @@ def _cmd_partition_myerson(args) -> int:
     elapsed = time.monotonic() - began
     stable, witness = model.nash_stable(final)
     externally_stable, entry = model.external_stability(final)
+    # Release the model's tables: the allocations below build their own.
+    del model
     allocation = {}
     for block in sorted(sorted(b) for b in final.blocks):
         alloc = myerson_allocation(g, frozenset(block))
@@ -179,6 +183,9 @@ def _cmd_myerson_value(args) -> int:
     coalition = [re.sub(r"\\([,\\])", r"\1", part) for part in parts]
     if not coalition:
         raise ValueError("--coalition must list at least one node")
+    repeated = [u for u, c in Counter(coalition).items() if c > 1]
+    if repeated:
+        raise ValueError(f"--coalition lists node {repeated[0]!r} more than once")
     value = component_characteristic(g, coalition)
     allocation = myerson_allocation(g, coalition)
     out = {
@@ -191,9 +198,7 @@ def _cmd_myerson_value(args) -> int:
         },
     }
     if args.r is not None:
-        r = parse_rational(args.r)
-        if not 0 <= r <= 1:
-            raise ValueError(f"discount r must lie in [0, 1], got {format_rational(r)}")
+        r = _check_r(parse_rational(args.r))
         out["r"] = format_rational(r)
         out["value_at_r"] = format_rational(value.evaluate(r))
         out["allocation_at_r"] = {

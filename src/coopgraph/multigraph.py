@@ -5,6 +5,14 @@ Parallel edges are stored as multiplicities. Geodesic counting treats a
 pair joined by w parallel edges as w distinct length-1 paths, and the
 weight of a longer shortest path is the product of the multiplicities of
 its links.
+
+Paths inside a coalition are counted on one geodesic table per
+coalition (_BlockTable): all-pairs hop distances and geodesic counts from
+one BFS per member, with each member's row bucketed by distance.
+coalition_path_counts sums its counts per distance, and node_path_counts
+reads each member's containment vector from it (_containment), the count
+the Myerson model's payoffs use; the model also grows a table in place
+when a node joins the coalition.
 """
 
 from __future__ import annotations
@@ -202,9 +210,9 @@ def connected_components(g: Multigraph) -> list[frozenset[str]]:
 
 
 def _bfs(adj, source: int) -> tuple[list[int], list[int], list[int]]:
-    # Brandes-style BFS layering over adjacency rows {neighbour:
-    # multiplicity}; parallel edges multiply path counts. Returns the
-    # visit order, hop distances (-1 when unreachable) and geodesic counts.
+    # BFS layering over adjacency rows {neighbour: multiplicity};
+    # parallel edges multiply path counts. Returns the visit order, hop
+    # distances (-1 when unreachable) and geodesic counts.
     d = [-1] * len(adj)
     s = [0] * len(adj)
     d[source] = 0
@@ -272,72 +280,180 @@ class NodePathProfile:
     max_distance: int
 
 
-def _local_adjacency(g: Multigraph, coalition: Iterable[str]) -> tuple[list[int], list[dict[int, int]]]:
-    # Coalition members as graph indices in ascending order (the node
-    # order of induced_subgraph), and for each member position its
-    # neighbours inside the coalition as {position: multiplicity}.
+class _BlockTable:
+    """One coalition's member positions (pos maps graph index to row),
+    all-pairs hop distances (-1 across components) and geodesic counts,
+    and per row the rows by distance: rows[a][d] for d >= 1, rows[a][0]
+    those a cannot reach. own and joins hold the Myerson payoffs already
+    derived, keyed by graph index and scaled by the model's denominator:
+    own for members, joins for nodes joining the coalition."""
+
+    __slots__ = ("pos", "dist", "sigma", "rows", "own", "joins")
+
+    def __init__(self, pos: dict[int, int], dist: list[list[int]], sigma: list[list[int]]):
+        self.pos = pos
+        self.dist = dist
+        self.sigma = sigma
+        self.rows = [_buckets(row) for row in dist]
+        self.own: dict[int, int] = {}
+        self.joins: dict[int, int] = {}
+
+    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int], list[set]]:
+        """Hop distances and geodesic counts to every member from an outside
+        node with these (graph index -> multiplicity) links: one more than
+        the least distance from a linked member, counts summed over the
+        linked members attaining it; and the members by distance as in
+        rows."""
+        pos, dist, sigma = self.pos, self.dist, self.sigma
+        di = [-1] * len(pos)
+        si = [0] * len(pos)
+        for u, mult in links.items():
+            a = pos.get(u)
+            if a is None:
+                continue
+            su = sigma[a]
+            for x, d in enumerate(dist[a]):
+                if d < 0:
+                    continue
+                d += 1
+                if di[x] < 0 or d < di[x]:
+                    di[x], si[x] = d, mult * su[x]
+                elif d == di[x]:
+                    si[x] += mult * su[x]
+        return di, si, _buckets(di)
+
+    def grow(self, g: Multigraph, node: str) -> None:
+        """Turn this into the table of the coalition plus the node, in
+        place: its row and column are appended, and each pair _detours
+        finds gains its geodesics through the node, which replace its own
+        when shorter."""
+        i = g.index_of(node)
+        di, si, level = self.entry(g.adjacency[i])
+        dist, sigma, rows = self.dist, self.sigma, self.rows
+        for s, d, b, near in list(_detours(rows, di, level)):
+            length = di[s] + b
+            for t in near:
+                if b == di[s] and t < s:
+                    continue
+                w = si[s] * si[t]
+                if length == d:
+                    sigma[s][t] += w
+                    sigma[t][s] += w
+                    continue
+                dist[s][t] = dist[t][s] = length
+                sigma[s][t] = sigma[t][s] = w
+                rows[s][d].remove(t)
+                rows[t][d].remove(s)
+                _file(rows[s], length, t)
+                _file(rows[t], length, s)
+        q = len(dist)
+        for a, ds, ss, x, row in zip(di, dist, sigma, si, rows):
+            ds.append(a)
+            ss.append(x)
+            _file(row, a if a > 0 else 0, q)
+        dist.append(di + [0])
+        sigma.append(si + [1])
+        rows.append(level)
+        self.pos[i] = q
+        self.own.clear()
+        self.joins.clear()
+
+    def grown(self, g: Multigraph, node: str) -> "_BlockTable":
+        """A grown copy; this table is left as it is."""
+        t = _BlockTable.__new__(_BlockTable)
+        t.pos, t.own, t.joins = dict(self.pos), {}, {}
+        t.dist = [d[:] for d in self.dist]
+        t.sigma = [s[:] for s in self.sigma]
+        t.rows = [[set(ring) for ring in row] for row in self.rows]
+        t.grow(g, node)
+        return t
+
+
+def _file(row: list[set], d: int, t: int) -> None:
+    while len(row) <= d:
+        row.append(set())
+    row[d].add(t)
+
+
+def _buckets(dist_row: list[int]) -> list[set]:
+    row = [set() for _ in range(max(0, *dist_row) + 1)]
+    for t, d in enumerate(dist_row):
+        if d:
+            row[d if d > 0 else 0].add(t)
+    return row
+
+
+def _block_table(g: Multigraph, coalition: Iterable[str]) -> _BlockTable:
+    # Members as graph indices in ascending order (the node order of
+    # induced_subgraph), then one BFS per member over the links inside.
     members = sorted({g.index_of(u) for u in coalition})
+    if not members:
+        raise ValueError("coalition must be nonempty")
     pos = {v: a for a, v in enumerate(members)}
     adj = g.adjacency
     local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
-    return members, local
+    rows = [_bfs(local, a) for a in range(len(members))]
+    return _BlockTable(pos, [d for _, d, _ in rows], [s for _, _, s in rows])
+
+
+def _detours(rows: list[list[set]], di: list[int], level: list[set]) -> Iterator[tuple]:
+    # The pairs s, t of a coalition with di[s] + di[t] <= d(s, t), or
+    # disconnected, for a node i with distances di (bucketed as level):
+    # those whose geodesics i can lie on. From the nearer end s, d(s, t)
+    # >= 2 di[s]. Yields (s, d, b, near): near holds the t with d(s, t) =
+    # d (0 if disconnected) and di[t] = b >= di[s], so a pair with b =
+    # di[s] comes from both ends.
+    for a in range(1, len(level)):
+        for s in level[a]:
+            row = rows[s]
+            for d in range(2 * a, len(row)):
+                if row[d]:
+                    for b, ring in enumerate(level[a : d - a + 1], a):
+                        near = row[d] & ring
+                        if near:
+                            yield s, d, b, near
+            if row[0]:
+                for b, ring in enumerate(level[a:], a):
+                    near = row[0] & ring
+                    if near:
+                        yield s, 0, b, near
+
+
+def _containment(
+    rows: list[list[set]], di: list[int], si: list[int], level: list[set]
+) -> list[int]:
+    # Per length, the geodesics containing node i: sigma(i, t) per member
+    # t and sigma(s, i) sigma(i, t) per pair from _detours. Counts are
+    # doubled, and a pair met from both ends adds once from each.
+    get = si.__getitem__
+    counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
+    for s, d, b, near in _detours(rows, di, level):
+        counts[di[s] + b] += (1 if b == di[s] else 2) * si[s] * sum(map(get, near))
+    return [c // 2 for c in counts]
 
 
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
-    """Geodesic path counts inside g restricted to the coalition."""
-    members, local = _local_adjacency(g, coalition)
-    if not members:
-        raise ValueError("coalition must be nonempty")
-    counts: list[int] = []
-    for i in range(len(members)):
-        _, d, s = _bfs(local, i)
-        for j in range(i + 1, len(members)):
-            if d[j] >= 1:
-                while len(counts) < d[j]:
-                    counts.append(0)
-                counts[d[j] - 1] += s[j]
-    return PathProfile(tuple(counts))
+    """Geodesic path counts inside g restricted to the coalition, summed
+    per distance over the rows of its geodesic table."""
+    t = _block_table(g, coalition)
+    counts = [0] * (max(map(len, t.rows)) - 1)
+    for s, row in zip(t.sigma, t.rows):
+        get = s.__getitem__
+        for d, ring in enumerate(row[1:]):
+            counts[d] += sum(map(get, ring))
+    return PathProfile(tuple(c // 2 for c in counts))
 
 
 def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile:
     """Per-node geodesic containment counts inside g restricted to the coalition.
 
-    Brandes-style dependency accumulation (Brandes 2001) in exact
-    integers, with one count per geodesic length: after a BFS from source
-    s, below[x][j] counts the geodesic continuations from x to the nodes
-    j hops beyond it, summed back along the BFS order, so sigma(s, x) *
-    below[x][j] is the number of geodesics from s of length d(s, x) + j
-    that pass through x (or end there, j = 0). Every unordered pair is
-    reached once from each end, so the sums over all sources are halved.
-    O(q m_C L) for q members, m_C links inside and longest geodesic L.
+    Each member's vector is _containment over its row of the coalition's
+    geodesic table, the count the Myerson model reads for its payoffs.
     """
-    members, local = _local_adjacency(g, coalition)
-    if not members:
-        raise ValueError("coalition must be nonempty")
-    q = len(members)
-    rows: list[list[int]] = [[] for _ in range(q)]
-    for source in range(q):
-        order, d, s = _bfs(local, source)
-        below: list[Optional[list[int]]] = [None] * q
-        for x in reversed(order):
-            acc = [1]
-            dx = d[x] + 1
-            for w, mult in local[x].items():
-                if d[w] == dx:
-                    child = below[w]
-                    if len(child) >= len(acc):
-                        acc.extend([0] * (len(child) + 1 - len(acc)))
-                    for j, c in enumerate(child, 1):
-                        acc[j] += mult * c
-            below[x] = acc
-            row, sx, base = rows[x], s[x], d[x] - 1
-            if len(row) < base + len(acc):
-                row.extend([0] * (base + len(acc) - len(row)))
-            for j in range(1 if x == source else 0, len(acc)):
-                row[base + j] += sx * acc[j]
-    length = max(len(row) for row in rows)
-    counts = {
-        g.label_of(v): tuple(c // 2 for c in row) + (0,) * (length - len(row))
-        for v, row in zip(members, rows)
-    }
+    t = _block_table(g, coalition)
+    length = max(map(len, t.rows)) - 1
+    counts = {}
+    for v, a in t.pos.items():
+        vec = _containment(t.rows, t.dist[a], t.sigma[a], t.rows[a])[1:]
+        counts[g.label_of(v)] = tuple(vec[:length]) + (0,) * (length - len(vec))
     return NodePathProfile(counts, length)

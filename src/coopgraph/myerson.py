@@ -7,27 +7,23 @@ value of the component-additive game; the Shapley-form computation is
 kept as an exponential-size oracle for cross-checking.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
-r), which caches one table per block: member positions, all-pairs hop
-distances and geodesic counts (one BFS per member), and each member's
-row bucketed by distance. From it:
+r), which caches one geodesic table per block (multigraph._BlockTable,
+the table node_path_counts reads). From it:
 
 * a member i's payoff counts, per length k, the geodesics of the block
-  that contain i: sigma(i, t) for each pair (i, t), and
-  sigma(s, i) sigma(i, t) for each pair s, t with d(s, i) + d(i, t) =
-  d(s, t). Only the buckets with d(s, t) >= 2 d(i, s) of each s are
-  visited. It is remembered per (block, node);
+  that contain i (multigraph._containment). It is remembered per
+  (block, node);
 * a node i joining block T needs no table of T + {i}: its distances and
-  counts come from its neighbours' rows in T, and a pair s, t of T gains
-  the geodesics through i exactly when d(s, i) + d(i, t) <= d_T(s, t)
-  or s and t are disconnected in T. An accepted join grows T's table in
-  place over just those pairs, and the source block's table is dropped,
-  so the cache holds the live blocks only.
+  counts come from its neighbours' rows in T. An accepted join grows T's
+  table in place, and the source block's table is dropped, so the cache
+  holds the live blocks only.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
 an accepted move. external_stability_check reads the incumbents from a
 grown copy of the entered block's table. Report allocations come from
-node_path_counts.
+node_path_counts, which counts on a table of its own with the same
+algorithm.
 
 The game has no potential, so dynamics run on partition.run_schedule
 with a canonical-form cycle key. Under run_dynamics (myerson_payoff) the
@@ -41,15 +37,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SizeGateError
 from .multigraph import (
     Multigraph,
     PathProfile,
-    _bfs,
+    _BlockTable,
     _bfs_counts,
-    _local_adjacency,
+    _block_table,
+    _containment,
     coalition_path_counts,
     node_path_counts,
 )
@@ -268,156 +265,6 @@ def _check_r(r) -> Fraction:
     if not 0 <= r <= 1:
         raise ValueError(f"discount r must lie in [0, 1], got {r}")
     return r
-
-
-class _BlockTable:
-    """One block's member positions (pos maps graph index to row),
-    all-pairs hop distances (-1 across components) and geodesic counts,
-    and per row the rows by distance: rows[a][d] for d >= 1, rows[a][0]
-    those a cannot reach. own and joins hold the payoffs already derived,
-    keyed by graph index and scaled by the model's denominator: own for
-    members, joins for nodes joining the block."""
-
-    __slots__ = ("pos", "dist", "sigma", "rows", "own", "joins")
-
-    def __init__(self, pos: dict[int, int], dist: list[list[int]], sigma: list[list[int]]):
-        self.pos = pos
-        self.dist = dist
-        self.sigma = sigma
-        self.rows = [_buckets(row) for row in dist]
-        self.own: dict[int, int] = {}
-        self.joins: dict[int, int] = {}
-
-    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int], list[set]]:
-        """Hop distances and geodesic counts to every member from an outside
-        node with these (graph index -> multiplicity) links: one more than
-        the least distance from a linked member, counts summed over the
-        linked members attaining it; and the members by distance as in
-        rows."""
-        pos, dist, sigma = self.pos, self.dist, self.sigma
-        di = [-1] * len(pos)
-        si = [0] * len(pos)
-        for u, mult in links.items():
-            a = pos.get(u)
-            if a is None:
-                continue
-            su = sigma[a]
-            for x, d in enumerate(dist[a]):
-                if d < 0:
-                    continue
-                d += 1
-                if di[x] < 0 or d < di[x]:
-                    di[x], si[x] = d, mult * su[x]
-                elif d == di[x]:
-                    si[x] += mult * su[x]
-        return di, si, _buckets(di)
-
-    def grow(self, g: Multigraph, node: str) -> None:
-        """Turn this into the table of the block plus the node, in place:
-        its row and column are appended, and each pair _detours finds
-        gains its geodesics through the node, which replace its own when
-        shorter."""
-        i = g.index_of(node)
-        di, si, level = self.entry(g.adjacency[i])
-        dist, sigma, rows = self.dist, self.sigma, self.rows
-        for s, d, b, near in list(_detours(rows, di, level)):
-            length = di[s] + b
-            for t in near:
-                if b == di[s] and t < s:
-                    continue
-                w = si[s] * si[t]
-                if length == d:
-                    sigma[s][t] += w
-                    sigma[t][s] += w
-                    continue
-                dist[s][t] = dist[t][s] = length
-                sigma[s][t] = sigma[t][s] = w
-                rows[s][d].remove(t)
-                rows[t][d].remove(s)
-                _file(rows[s], length, t)
-                _file(rows[t], length, s)
-        q = len(dist)
-        for a, ds, ss, x, row in zip(di, dist, sigma, si, rows):
-            ds.append(a)
-            ss.append(x)
-            _file(row, a if a > 0 else 0, q)
-        dist.append(di + [0])
-        sigma.append(si + [1])
-        rows.append(level)
-        self.pos[i] = q
-        self.own.clear()
-        self.joins.clear()
-
-    def grown(self, g: Multigraph, node: str) -> "_BlockTable":
-        """A grown copy; this table is left as it is."""
-        t = _BlockTable.__new__(_BlockTable)
-        t.pos, t.own, t.joins = dict(self.pos), {}, {}
-        t.dist = [d[:] for d in self.dist]
-        t.sigma = [s[:] for s in self.sigma]
-        t.rows = [[set(ring) for ring in row] for row in self.rows]
-        t.grow(g, node)
-        return t
-
-
-def _file(row: list[set], d: int, t: int) -> None:
-    while len(row) <= d:
-        row.append(set())
-    row[d].add(t)
-
-
-def _buckets(dist_row: list[int]) -> list[set]:
-    row = [set() for _ in range(max(0, *dist_row) + 1)]
-    for t, d in enumerate(dist_row):
-        if d:
-            row[d if d > 0 else 0].add(t)
-    return row
-
-
-def _block_table(g: Multigraph, block: frozenset) -> _BlockTable:
-    # One BFS per member over the block's local adjacency.
-    members, local = _local_adjacency(g, block)
-    rows = [_bfs(local, a) for a in range(len(members))]
-    return _BlockTable(
-        {v: a for a, v in enumerate(members)},
-        [d for _, d, _ in rows],
-        [s for _, _, s in rows],
-    )
-
-
-def _detours(rows: list[list[set]], di: list[int], level: list[set]) -> Iterator[tuple]:
-    # The pairs s, t of a block with di[s] + di[t] <= d(s, t), or
-    # disconnected, for a node i with distances di (bucketed as level):
-    # those whose geodesics i can lie on. From the nearer end s, d(s, t)
-    # >= 2 di[s]. Yields (s, d, b, near): near holds the t with d(s, t) =
-    # d (0 if disconnected) and di[t] = b >= di[s], so a pair with b =
-    # di[s] comes from both ends.
-    for a in range(1, len(level)):
-        for s in level[a]:
-            row = rows[s]
-            for d in range(2 * a, len(row)):
-                if row[d]:
-                    for b, ring in enumerate(level[a : d - a + 1], a):
-                        near = row[d] & ring
-                        if near:
-                            yield s, d, b, near
-            if row[0]:
-                for b, ring in enumerate(level[a:], a):
-                    near = row[0] & ring
-                    if near:
-                        yield s, 0, b, near
-
-
-def _containment(
-    rows: list[list[set]], di: list[int], si: list[int], level: list[set]
-) -> list[int]:
-    # Per length, the geodesics containing node i: sigma(i, t) per member
-    # t and sigma(s, i) sigma(i, t) per pair from _detours. Counts are
-    # doubled, and a pair met from both ends adds once from each.
-    get = si.__getitem__
-    counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
-    for s, d, b, near in _detours(rows, di, level):
-        counts[di[s] + b] += (1 if b == di[s] else 2) * si[s] * sum(map(get, near))
-    return [c // 2 for c in counts]
 
 
 class MyersonModel:

@@ -1,4 +1,5 @@
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,32 @@ class TestPartitionCommand:
         assert json.loads(out)["stability"]["nash_stable"] is True
         assert bound == [Fraction(1, 2)]
 
+    def test_myerson_report_allocations_run_after_the_model_is_released(self, capsys, monkeypatch):
+        # The allocations build tables of their own, so the model's
+        # tables of the same blocks must be gone by then.
+        import coopgraph.cli as cli
+
+        models = []
+        bind = MyersonModel.bind.__func__
+
+        def bound(cls, g, r):
+            model = bind(cls, g, r)
+            models.append(weakref.ref(model))
+            return model
+
+        alive = []
+        allocate = cli.myerson_allocation
+
+        def allocation(g, block):
+            alive.append(models[0]() is not None)
+            return allocate(g, block)
+
+        monkeypatch.setattr(MyersonModel, "bind", classmethod(bound))
+        monkeypatch.setattr(cli, "myerson_allocation", allocation)
+        code, _, _ = run(capsys, "partition", "myerson", "--graph", "example1", "--r", "1/2")
+        assert code == 0
+        assert alive == [False, False]
+
     def test_myerson_cycle_key_tells_comma_labels_apart(self, capsys, tmp_path):
         # The start and the partition after the first greedy move,
         # {a, b,c | b, c} and {a, b, c | b,c}, would share one cycle key
@@ -253,6 +280,14 @@ class TestMyersonValueCommand:
         )
         assert code == 2
         assert "Q" in err
+
+    def test_repeated_node_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "myerson", "value", "--graph", "example1", "--coalition", "A,B,C,B"
+        )
+        assert code == 2
+        assert out == ""
+        assert "'B'" in err
 
     def test_escaped_comma_names_a_label(self, capsys, tmp_path):
         graph = tmp_path / "comma.edges"
@@ -405,6 +440,30 @@ class TestUsageErrors:
         )
         assert code == 3
         assert "refused" in err
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[["A", "B", "C"], ["D", "E", "F", 1, "zz"]], [["A", "B", "C"], ["D", "E", ["F"]]]],
+        ids=["integer", "nested"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stability", "--graph", "example1", "--model", "hedonic", "--alpha", "1/5", "--partition"),
+            ("threshold", "--graph", "example1", "--p2", "{grand}", "--p1"),
+            ("partition", "hedonic", "--graph", "example1", "--alpha", "1/5", "--init"),
+        ],
+        ids=["stability", "threshold", "init"],
+    )
+    def test_non_string_member_in_partition_file_exits_2(self, capsys, tmp_path, blocks, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"blocks": blocks}))
+        grand = tmp_path / "grand.json"
+        grand.write_text(partition_to_json(Partition.grand(load_dataset("example1").labels)))
+        argv = [arg.format(grand=grand) for arg in argv]
+        code, _, err = run(capsys, *argv, str(bad))
+        assert code == 2
+        assert "must be a string" in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

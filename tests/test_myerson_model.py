@@ -4,13 +4,15 @@ MyersonModel reads every gain from cached block tables: a member's
 payoff from its block's distance-bucketed all-pairs distances and
 geodesic counts, a joining node's payoff derived from the target block's
 table without a table of the joined block, and the table of a block that
-an accepted join creates grown in place from the target's. node_path_counts
-uses Brandes accumulation. The references in conftest share none of
-that: reference_node_path_counts is the direct cubic loop over (x, s, t)
-on the induced subgraph, reference_containment scans every pair of a
-block, and myerson_shapley_oracle sums Shapley marginals over every
-coalition. Dynamics are compared move for move with run_dynamics driven
-by a reference payoff.
+an accepted join creates grown in place from the target's.
+node_path_counts and coalition_path_counts read a table of the same
+kind. The references in conftest share none of that:
+reference_node_path_counts is the direct cubic loop over (x, s, t) on
+the induced subgraph, brute_force_profiles enumerates simple paths,
+reference_containment scans every pair of a block, and
+myerson_shapley_oracle sums Shapley marginals over every coalition.
+Dynamics are compared move for move with run_dynamics driven by a
+reference payoff.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from coopgraph import (
     Partition,
     Schedule,
     apply_move,
+    coalition_path_counts,
     enumerate_deviations,
     external_stability_check,
     induced_subgraph,
@@ -49,7 +52,12 @@ from coopgraph import myerson
 from coopgraph.myerson import _block_table, _containment
 from coopgraph.reports import partition_from_json
 
-from conftest import reference_allocation, reference_containment, reference_node_path_counts
+from conftest import (
+    brute_force_profiles,
+    reference_allocation,
+    reference_containment,
+    reference_node_path_counts,
+)
 
 DATA = Path(__file__).resolve().parent / "data" / "myerson"
 PLANTED = DATA / "planted30.edges"
@@ -109,6 +117,7 @@ def test_node_path_counts_matches_the_cubic_reference(data):
     want = reference_node_path_counts(g, coalition)
     assert got == want
     assert list(got.counts) == list(want.counts)
+    assert coalition_path_counts(g, coalition).counts == brute_force_profiles(g, coalition)[0]
 
 
 @SETTINGS
