@@ -179,10 +179,11 @@ def _cmd_myerson_value(args) -> int:
     g = _resolve_graph(args.graph)
     # Labels are split at commas; a backslash before a comma or another
     # backslash makes that character literal, as in canonical_form.
-    parts = re.findall(r"(?:\\[,\\]|[^,\\]|\\(?![,\\]))+", args.coalition)
+    label = r"(?:\\[,\\]|[^,\\]|\\(?![,\\]))+"
+    if not re.fullmatch(rf"{label}(?:,{label})*", args.coalition):
+        raise ValueError(f"--coalition must list nonempty labels: {args.coalition!r}")
+    parts = re.findall(label, args.coalition)
     coalition = [re.sub(r"\\([,\\])", r"\1", part) for part in parts]
-    if not coalition:
-        raise ValueError("--coalition must list at least one node")
     repeated = [u for u, c in Counter(coalition).items() if c > 1]
     if repeated:
         raise ValueError(f"--coalition lists node {repeated[0]!r} more than once")

@@ -54,6 +54,7 @@ from .partition import (
     TraceStep,
     _check_move,
     canonical_form,
+    nash_scan,
     run_schedule,
 )
 
@@ -331,12 +332,7 @@ def nash_stable(
     block or to a fresh one; otherwise returns the first improving move in
     label and enumerate_deviations order. p must cover exactly g's nodes."""
     p.check_cover(g.labels)
-    state = _BlockState(HedonicModel.bind(vf, g), p)
-    for i in state.nodes:
-        for target, gain in state.deviations(i):
-            if gain > 0:
-                return False, state.move(i, target)
-    return True, None
+    return nash_scan(_BlockState(HedonicModel.bind(vf, g), p))
 
 
 def better_response(

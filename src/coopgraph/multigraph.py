@@ -7,12 +7,12 @@ weight of a longer shortest path is the product of the multiplicities of
 its links.
 
 Paths inside a coalition are counted on one geodesic table per
-coalition (_BlockTable): all-pairs hop distances and geodesic counts from
-one BFS per member, with each member's row bucketed by distance.
-coalition_path_counts sums its counts per distance, and node_path_counts
-reads each member's containment vector from it (_containment), the count
-the Myerson model's payoffs use; the model also grows a table in place
-when a node joins the coalition.
+coalition (_BlockTable): member positions, geodesic counts and distance
+buckets, from one BFS per member. coalition_path_counts sums its counts
+per distance, and node_path_counts reads each member's containment
+vector from it (_containment), the count the Myerson model's payoffs
+use; the model also grows a table in place when a node joins the
+coalition.
 """
 
 from __future__ import annotations
@@ -209,30 +209,29 @@ def connected_components(g: Multigraph) -> list[frozenset[str]]:
     return out
 
 
-def _bfs(adj, source: int) -> tuple[list[int], list[int], list[int]]:
+def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
     # BFS layering over adjacency rows {neighbour: multiplicity};
-    # parallel edges multiply path counts. Returns the visit order, hop
-    # distances (-1 when unreachable) and geodesic counts.
+    # parallel edges multiply path counts. Returns hop distances (-1 when
+    # unreachable) and geodesic counts.
     d = [-1] * len(adj)
     s = [0] * len(adj)
     d[source] = 0
     s[source] = 1
-    order = [source]
-    for v in order:
+    queue = [source]
+    for v in queue:
         dv, sv = d[v] + 1, s[v]
         for w, mult in adj[v].items():
             if d[w] < 0:
                 d[w] = dv
-                order.append(w)
+                queue.append(w)
             if d[w] == dv:
                 s[w] += sv * mult
-    return order, d, s
+    return d, s
 
 
 def _bfs_counts(g: Multigraph, source: int) -> tuple[list[int], list[int]]:
     # Hop distances and geodesic counts from source over the whole graph.
-    _, d, s = _bfs(g.adjacency, source)
-    return d, s
+    return _bfs(g.adjacency, source)
 
 
 def geodesic_profile(g: Multigraph):
@@ -282,29 +281,28 @@ class NodePathProfile:
 
 class _BlockTable:
     """One coalition's member positions (pos maps graph index to row),
-    all-pairs hop distances (-1 across components) and geodesic counts,
-    and per row the rows by distance: rows[a][d] for d >= 1, rows[a][0]
-    those a cannot reach. own and joins hold the Myerson payoffs already
-    derived, keyed by graph index and scaled by the model's denominator:
-    own for members, joins for nodes joining the coalition."""
+    geodesic counts and distance buckets, its only record of distance:
+    rows[a][d] for d >= 1, rows[a][0] the members a cannot reach. own and
+    joins hold the Myerson payoffs already derived, keyed by graph index
+    and scaled by the model's denominator: own for members, joins for
+    nodes joining the coalition."""
 
-    __slots__ = ("pos", "dist", "sigma", "rows", "own", "joins")
+    __slots__ = ("pos", "sigma", "rows", "own", "joins")
 
-    def __init__(self, pos: dict[int, int], dist: list[list[int]], sigma: list[list[int]]):
+    def __init__(self, pos: dict[int, int], sigma: list[list[int]], rows: list[list[set]]):
         self.pos = pos
-        self.dist = dist
         self.sigma = sigma
-        self.rows = [_buckets(row) for row in dist]
+        self.rows = rows
         self.own: dict[int, int] = {}
         self.joins: dict[int, int] = {}
 
-    def entry(self, links: dict[int, int]) -> tuple[list[int], list[int], list[set]]:
-        """Hop distances and geodesic counts to every member from an outside
-        node with these (graph index -> multiplicity) links: one more than
-        the least distance from a linked member, counts summed over the
-        linked members attaining it; and the members by distance as in
-        rows."""
-        pos, dist, sigma = self.pos, self.dist, self.sigma
+    def entry(self, links: dict[int, int]) -> tuple[list[int], list[set]]:
+        """Geodesic counts to every member from an outside node with these
+        (graph index -> multiplicity) links, and the members by distance
+        as in rows. A member's distance is one more than its least
+        distance from a linked member (the linked member itself at 0),
+        and its count sums over the linked members attaining it."""
+        pos, sigma, rows = self.pos, self.sigma, self.rows
         di = [-1] * len(pos)
         si = [0] * len(pos)
         for u, mult in links.items():
@@ -312,15 +310,15 @@ class _BlockTable:
             if a is None:
                 continue
             su = sigma[a]
-            for x, d in enumerate(dist[a]):
-                if d < 0:
-                    continue
-                d += 1
-                if di[x] < 0 or d < di[x]:
-                    di[x], si[x] = d, mult * su[x]
-                elif d == di[x]:
-                    si[x] += mult * su[x]
-        return di, si, _buckets(di)
+            # Bucket d of a's row lies at d + 1; the slot of the members a
+            # cannot reach stands for a itself.
+            for d, ring in enumerate(rows[a], 1):
+                for x in ring if d > 1 else (a,):
+                    if di[x] < 0 or d < di[x]:
+                        di[x], si[x] = d, mult * su[x]
+                    elif d == di[x]:
+                        si[x] += mult * su[x]
+        return si, _buckets(di)
 
     def grow(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the coalition plus the node, in
@@ -328,30 +326,28 @@ class _BlockTable:
         finds gains its geodesics through the node, which replace its own
         when shorter."""
         i = g.index_of(node)
-        di, si, level = self.entry(g.adjacency[i])
-        dist, sigma, rows = self.dist, self.sigma, self.rows
-        for s, d, b, near in list(_detours(rows, di, level)):
-            length = di[s] + b
+        si, level = self.entry(g.adjacency[i])
+        sigma, rows = self.sigma, self.rows
+        for s, a, d, b, near in list(_detours(rows, level)):
+            length = a + b
             for t in near:
-                if b == di[s] and t < s:
+                if b == a and t < s:
                     continue
                 w = si[s] * si[t]
                 if length == d:
                     sigma[s][t] += w
                     sigma[t][s] += w
                     continue
-                dist[s][t] = dist[t][s] = length
                 sigma[s][t] = sigma[t][s] = w
                 rows[s][d].remove(t)
                 rows[t][d].remove(s)
                 _file(rows[s], length, t)
                 _file(rows[t], length, s)
-        q = len(dist)
-        for a, ds, ss, x, row in zip(di, dist, sigma, si, rows):
-            ds.append(a)
-            ss.append(x)
-            _file(row, a if a > 0 else 0, q)
-        dist.append(di + [0])
+        q = len(sigma)
+        for d, ring in enumerate(level):
+            for t in ring:
+                sigma[t].append(si[t])
+                _file(rows[t], d, q)
         sigma.append(si + [1])
         rows.append(level)
         self.pos[i] = q
@@ -360,11 +356,8 @@ class _BlockTable:
 
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
         """A grown copy; this table is left as it is."""
-        t = _BlockTable.__new__(_BlockTable)
-        t.pos, t.own, t.joins = dict(self.pos), {}, {}
-        t.dist = [d[:] for d in self.dist]
-        t.sigma = [s[:] for s in self.sigma]
-        t.rows = [[set(ring) for ring in row] for row in self.rows]
+        rows = [[set(ring) for ring in row] for row in self.rows]
+        t = _BlockTable(dict(self.pos), [s[:] for s in self.sigma], rows)
         t.grow(g, node)
         return t
 
@@ -392,17 +385,17 @@ def _block_table(g: Multigraph, coalition: Iterable[str]) -> _BlockTable:
     pos = {v: a for a, v in enumerate(members)}
     adj = g.adjacency
     local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
-    rows = [_bfs(local, a) for a in range(len(members))]
-    return _BlockTable(pos, [d for _, d, _ in rows], [s for _, _, s in rows])
+    searched = [_bfs(local, a) for a in range(len(members))]
+    return _BlockTable(pos, [s for _, s in searched], [_buckets(d) for d, _ in searched])
 
 
-def _detours(rows: list[list[set]], di: list[int], level: list[set]) -> Iterator[tuple]:
+def _detours(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
     # The pairs s, t of a coalition with di[s] + di[t] <= d(s, t), or
-    # disconnected, for a node i with distances di (bucketed as level):
+    # disconnected, for a node i whose distances di are bucketed as level:
     # those whose geodesics i can lie on. From the nearer end s, d(s, t)
-    # >= 2 di[s]. Yields (s, d, b, near): near holds the t with d(s, t) =
-    # d (0 if disconnected) and di[t] = b >= di[s], so a pair with b =
-    # di[s] comes from both ends.
+    # >= 2 di[s]. Yields (s, a, d, b, near) with a = di[s]: near holds the
+    # t with d(s, t) = d (0 if disconnected) and di[t] = b >= a, so a pair
+    # with b = a comes from both ends.
     for a in range(1, len(level)):
         for s in level[a]:
             row = rows[s]
@@ -411,24 +404,22 @@ def _detours(rows: list[list[set]], di: list[int], level: list[set]) -> Iterator
                     for b, ring in enumerate(level[a : d - a + 1], a):
                         near = row[d] & ring
                         if near:
-                            yield s, d, b, near
+                            yield s, a, d, b, near
             if row[0]:
                 for b, ring in enumerate(level[a:], a):
                     near = row[0] & ring
                     if near:
-                        yield s, 0, b, near
+                        yield s, a, 0, b, near
 
 
-def _containment(
-    rows: list[list[set]], di: list[int], si: list[int], level: list[set]
-) -> list[int]:
+def _containment(rows: list[list[set]], si: list[int], level: list[set]) -> list[int]:
     # Per length, the geodesics containing node i: sigma(i, t) per member
     # t and sigma(s, i) sigma(i, t) per pair from _detours. Counts are
     # doubled, and a pair met from both ends adds once from each.
     get = si.__getitem__
     counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
-    for s, d, b, near in _detours(rows, di, level):
-        counts[di[s] + b] += (1 if b == di[s] else 2) * si[s] * sum(map(get, near))
+    for s, a, _, b, near in _detours(rows, level):
+        counts[a + b] += (1 if b == a else 2) * si[s] * sum(map(get, near))
     return [c // 2 for c in counts]
 
 
@@ -454,6 +445,6 @@ def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile
     length = max(map(len, t.rows)) - 1
     counts = {}
     for v, a in t.pos.items():
-        vec = _containment(t.rows, t.dist[a], t.sigma[a], t.rows[a])[1:]
+        vec = _containment(t.rows, t.sigma[a], t.rows[a])[1:]
         counts[g.label_of(v)] = tuple(vec[:length]) + (0,) * (length - len(vec))
     return NodePathProfile(counts, length)

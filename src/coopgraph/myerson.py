@@ -58,6 +58,7 @@ from .partition import (
     TraceStep,
     _check_move,
     canonical_form,
+    nash_scan,
     run_schedule,
 )
 
@@ -329,7 +330,7 @@ class MyersonModel:
         v = t.own.get(i)
         if v is None:
             a = t.pos[i]
-            v = t.own[i] = self._scaled(_containment(t.rows, t.dist[a], t.sigma[a], t.rows[a]))
+            v = t.own[i] = self._scaled(_containment(t.rows, t.sigma[a], t.rows[a]))
         return v
 
     def join_value(self, block: frozenset, node: str) -> int:
@@ -359,12 +360,7 @@ class MyersonModel:
 
     def nash_stable(self, p: Partition) -> tuple[bool, Optional[Move]]:
         p.check_cover(self.g.labels)
-        state = _MyersonState(self, p)
-        for node in state.nodes:
-            for target, gain in state.deviations(node):
-                if gain > 0:
-                    return False, state.move(node, target)
-        return True, None
+        return nash_scan(_MyersonState(self, p))
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
         p.check_cover(self.g.labels)

@@ -5,7 +5,8 @@ state object for the exact gain of each deviation, accepts a move only
 on strictly positive gain, and reports how it stopped (Stable,
 CycleDetected or CapReached). run_dynamics adapts a payoff callback over
 immutable Partition values to it; the hedonic and Myerson engines supply
-their own states. Payoffs backed by a potential always stop Stable.
+their own states, and nash_scan finds the first improving deviation of
+either. Payoffs backed by a potential always stop Stable.
 """
 
 from __future__ import annotations
@@ -52,16 +53,21 @@ class Partition:
     __slots__ = ("_blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[str]], universe: Optional[Iterable[str]] = None):
-        blks = tuple(frozenset(b) for b in blocks)
+        blks = []
         block_of: dict[str, int] = {}
-        for k, block in enumerate(blks):
+        for k, block in enumerate(blocks):
+            # Members are checked before they are hashed, so an unhashable
+            # one is refused like any other non-string.
+            block = tuple(block)
             if not block:
                 raise PartitionError("blocks must be nonempty")
             for node in block:
-                if node in block_of:
+                if not isinstance(node, str):
+                    raise PartitionError(f"node label must be a string: {node!r}")
+                if block_of.setdefault(node, k) != k:
                     raise PartitionError(f"node in two blocks: {node!r}")
-                block_of[node] = k
-        self._blocks = blks
+            blks.append(frozenset(block))
+        self._blocks = tuple(blks)
         self._block_of = block_of
         if universe is not None:
             self.check_cover(universe)
@@ -282,6 +288,17 @@ def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple
                     break
         if not moved:
             return state.partition(), Trace(tuple(steps), STABLE)
+
+
+def nash_scan(state) -> tuple[bool, Optional[Move]]:
+    """(True, None) when no node of the dynamics state has a strictly
+    improving deviation; otherwise False and the first one, in node order
+    and then deviation order, as state.move(node, handle) gives it."""
+    for node in state.nodes:
+        for handle, gain in state.deviations(node):
+            if gain > 0:
+                return False, state.move(node, handle)
+    return True, None
 
 
 class _CallbackState:

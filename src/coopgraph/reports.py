@@ -48,10 +48,6 @@ def partition_from_obj(obj, universe: Optional[Iterable[str]] = None) -> Partiti
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("'blocks' must be a list of lists of node labels")
-    for block in blocks:
-        for u in block:
-            if not isinstance(u, str):
-                raise ValueError(f"node label must be a string: {u!r}")
     return Partition(blocks, universe=universe)
 
 

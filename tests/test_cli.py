@@ -302,6 +302,11 @@ class TestMyersonValueCommand:
         code, _, err = run(capsys, *value, "a,b,c")
         assert code == 2
         assert "'a'" in err
+        # An empty label is refused, next to an escaped comma or not.
+        for coalition in ("c,,d", ",c", "c,", "a\\,b,,c", "a\\,b,", ",a\\,b"):
+            code, out, err = run(capsys, *value, coalition)
+            assert (code, out) == (2, "")
+            assert "nonempty labels" in err
 
 
 class TestStabilityCommand:

@@ -1,10 +1,11 @@
 """Differential tests of the Myerson engine against independent references.
 
 MyersonModel reads every gain from cached block tables: a member's
-payoff from its block's distance-bucketed all-pairs distances and
-geodesic counts, a joining node's payoff derived from the target block's
-table without a table of the joined block, and the table of a block that
-an accepted join creates grown in place from the target's.
+payoff from its block's geodesic counts and distance buckets, a joining
+node's payoff derived from the target block's table without a table of
+the joined block, and the table of a block that an accepted join creates
+grown in place from the target's. The tests read a table's distances
+from its buckets, its only record of them.
 node_path_counts and coalition_path_counts read a table of the same
 kind. The references in conftest share none of that:
 reference_node_path_counts is the direct cubic loop over (x, s, t) on
@@ -212,22 +213,38 @@ def test_dynamics_match_the_reference_payoff(data):
     assert got == want
 
 
+def distances(level, q):
+    """Hop distances to q members read from one row's buckets: d for
+    bucket d >= 1, -1 for bucket 0 (unreachable), 0 for the member a
+    row leaves out (itself)."""
+    d = [0] * q
+    for k, ring in enumerate(level):
+        for t in ring:
+            d[t] = k if k else -1
+    return d
+
+
+def all_distances(table):
+    return [distances(row, len(table.rows)) for row in table.rows]
+
+
 def assert_same_table(table, built):
-    """Equal distances and geodesic counts for every pair of members,
-    whatever rows the two tables give them."""
+    """Equal distances, read from the buckets, and geodesic counts for
+    every pair of members, whatever rows the two tables give them."""
     assert table.pos.keys() == built.pos.keys()
+    dist, want = all_distances(table), all_distances(built)
     for u, a in table.pos.items():
         for v, b in table.pos.items():
-            assert table.dist[a][b] == built.dist[built.pos[u]][built.pos[v]]
+            assert dist[a][b] == want[built.pos[u]][built.pos[v]]
             assert table.sigma[a][b] == built.sigma[built.pos[u]][built.pos[v]]
 
 
-def assert_buckets_match_dist(table):
-    for a, (row, dist) in enumerate(zip(table.rows, table.dist)):
-        assert max(dist) < len(row)
-        for d, bucket in enumerate(row):
-            want = {t for t, dt in enumerate(dist) if t != a and (dt == d if d else dt < 0)}
-            assert bucket == want
+def assert_buckets_partition_the_members(table):
+    """Each row's buckets are disjoint and hold every member but the
+    row's own."""
+    q = len(table.rows)
+    for a, row in enumerate(table.rows):
+        assert sorted(t for ring in row for t in ring) == [t for t in range(q) if t != a]
 
 
 @SETTINGS
@@ -239,7 +256,7 @@ def test_derived_tables_equal_tables_built_by_search(data):
     model.better_response(p)
     for block, table in model.tables.items():
         assert_same_table(table, _block_table(g, block))
-        assert_buckets_match_dist(table)
+        assert_buckets_partition_the_members(table)
 
 
 @SETTINGS
@@ -247,17 +264,24 @@ def test_derived_tables_equal_tables_built_by_search(data):
 def test_a_table_grown_in_place_equals_the_searched_one(data):
     # The block may be disconnected, and the node may link it up, touch
     # one component, or not link to it at all; growing again from the
-    # grown table exercises buckets that growth itself moved.
+    # grown table exercises buckets that growth itself moved. At each
+    # step a grown copy must equal the search too, and leave the table it
+    # was copied from as it was.
     g = data.draw(graphs())
     assume(g.n >= 2)
     block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
     outside = data.draw(st.permutations(sorted(set(g.labels) - block)))
     table = _block_table(g, block)
     for node in outside[: data.draw(st.integers(1, len(outside)))]:
+        copy = table.grown(g, node)
+        assert_same_table(copy, _block_table(g, block | {node}))
+        assert_buckets_partition_the_members(copy)
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_partition_the_members(table)
         table.grow(g, node)
         block |= {node}
         assert_same_table(table, _block_table(g, block))
-        assert_buckets_match_dist(table)
+        assert_buckets_partition_the_members(table)
 
 
 def without_trailing_zeros(counts):
@@ -282,11 +306,11 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
         i = g.index_of(node)
         if i in table.pos:
             a = table.pos[i]
-            di, si, level = table.dist[a], table.sigma[a], table.rows[a]
+            si, level = table.sigma[a], table.rows[a]
         else:
-            di, si, level = table.entry(g.adjacency[i])
-        got = _containment(table.rows, di, si, level)
-        want = reference_containment(table.dist, di, si)
+            si, level = table.entry(g.adjacency[i])
+        got = _containment(table.rows, si, level)
+        want = reference_containment(all_distances(table), distances(level, len(si)), si)
         assert without_trailing_zeros(got) == without_trailing_zeros(want)
 
 

@@ -31,6 +31,11 @@ class TestPartition:
             Partition([{"A", "B"}, {"B"}])
         with pytest.raises(PartitionError, match="nonempty"):
             Partition([{"A"}, set()])
+        # Members are checked before they are hashed or compared.
+        with pytest.raises(PartitionError, match="node label must be a string: 1"):
+            Partition([["A", "B", 1, "zz"]], universe=["A", "B"])
+        with pytest.raises(PartitionError, match=r"node label must be a string: \['C'\]"):
+            Partition([["A"], ["B", ["C"]]])
 
     def test_universe_check(self):
         with pytest.raises(PartitionError, match="cover"):
