@@ -134,11 +134,14 @@ def parse_edge_list(text: bytes | str) -> Multigraph:
     Each non-comment line is "u v" or "u v w" with w a positive integer
     multiplicity; '#' starts a comment; blank lines are skipped. Repeated
     pairs accumulate multiplicity; nodes appear in first-mention order.
+    Bytes are read as UTF-8, less a leading byte-order mark.
     Raises EdgeListError (with the line number) on self-loops,
     non-positive multiplicities or malformed rows.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        # Not the utf-8-sig codec: its first use imports a module, which
+        # costs about 0.4 ms, a twentieth of a small hedonic run.
+        text = text.decode("utf-8").removeprefix("\ufeff")
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

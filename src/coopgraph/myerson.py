@@ -14,30 +14,27 @@ the table node_path_counts reads). From it:
   that contain i (multigraph._containment). It is remembered per
   (block, node);
 * a node i joining block T needs no table of T + {i}: its distances and
-  counts come from its neighbours' rows in T. An accepted join grows T's
-  table in place, and the source block's table is dropped, so the cache
-  holds the live blocks only.
+  counts come from its neighbours' rows in T.
+
+A table has one lifecycle: it is searched on a miss, grown in place when
+better response accepts a join into its block (the source block's table
+is dropped, so the cache holds the live blocks only), and copied, then
+grown, when the external check values an entry.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
-an accepted move. external_stability_check reads the incumbents from a
-grown copy of the entered block's table. Report allocations come from
-node_path_counts, which counts on a table of its own with the same
-algorithm.
+an accepted move. Report allocations come from node_path_counts, which
+counts on a table of its own with the same algorithm.
 
 The game has no potential, so dynamics run on partition.run_schedule
-with a canonical-form cycle key. Under run_dynamics (myerson_payoff) the
-model never learns which move was accepted: the joined block's table,
-when first asked for, takes over the target's and grows it, and the
-source's stays cached. That callback cannot check a start either, since
-it never sees g's labels.
+with a canonical-form cycle key.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import SizeGateError
 from .multigraph import (
@@ -296,28 +293,16 @@ class MyersonModel:
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
-        """The block's table, built on the first request. A cached table
-        of the block less one node is taken over for it (see _build)."""
+        """The block's table, searched on a miss. Afterwards it is grown
+        in place when better response accepts a join into the block, and
+        copied when the external check values an entry into it."""
         t = self.tables.get(block)
         if t is None:
             self.misses += 1
-            t = self.tables[block] = self._build(block)
+            t = self.tables[block] = _block_table(self.g, block)
         else:
             self.hits += 1
         return t
-
-    def _build(self, block: frozenset) -> _BlockTable:
-        # A block one node larger than a cached one, as a join accepted by
-        # run_dynamics makes, takes that table over and grows it in place:
-        # the smaller block has left the partition. Any other block takes
-        # a BFS per member.
-        for node in block:
-            smaller = block - {node}
-            if smaller in self.tables:
-                t = self.tables.pop(smaller)
-                t.grow(self.g, node)
-                return t
-        return _block_table(self.g, block)
 
     def _scaled(self, counts: list[int]) -> int:
         w = self.weights
@@ -345,9 +330,11 @@ class MyersonModel:
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
         """The moving node's payoff in the joined coalition minus its payoff
-        now; a fresh block is a singleton and pays zero. Raises
-        PartitionError for a node outside its source block or a missing
-        target block."""
+        now, read from the cached tables; a fresh block is a singleton and
+        pays zero. Raises PartitionError for a node outside its source
+        block or a missing target block. This is one gain: dynamics go
+        through better_response, which retires the tables of the blocks
+        that leave the partition."""
         _check_move(p, mv)
         now = self.value(p.blocks[mv.source], mv.node)
         if mv.is_fresh:
@@ -437,13 +424,6 @@ def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:
     block is a singleton and pays zero. Raises PartitionError for a node
     outside its source block or a missing target block."""
     return MyersonModel.bind(g, r).gain(p, mv)
-
-
-def myerson_payoff(g: Multigraph, r) -> Callable[[Partition, Move], Fraction]:
-    """Deviation-gain callback for run_dynamics at a fixed discount; every
-    gain it returns reads one model's block tables. It cannot check that
-    a start covers g's nodes: use myerson_better_response."""
-    return MyersonModel.bind(g, r).gain
 
 
 def myerson_better_response(

@@ -89,10 +89,15 @@ class Partition:
         return frozenset(self._block_of)
 
     def check_cover(self, universe: Iterable[str]) -> None:
-        """Raise PartitionError unless the blocks cover exactly the universe."""
-        universe = set(universe)
-        missing = universe - self._block_of.keys()
-        extra = self._block_of.keys() - universe
+        """Raise PartitionError unless the blocks cover exactly the universe.
+        Labels are checked before they are hashed, as members are."""
+        labels = set()
+        for node in universe:
+            if not isinstance(node, str):
+                raise PartitionError(f"node label must be a string: {node!r}")
+            labels.add(node)
+        missing = labels - self._block_of.keys()
+        extra = self._block_of.keys() - labels
         if missing:
             raise PartitionError(f"blocks do not cover: {sorted(missing)}")
         if extra:

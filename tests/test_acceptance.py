@@ -43,14 +43,13 @@ from coopgraph import (
     load_dataset,
     move_gain,
     myerson_allocation,
-    myerson_payoff,
+    myerson_better_response,
     myerson_gain,
     myerson_shapley_oracle,
     nash_stable,
     partition_threshold,
     potential,
     potential_form,
-    run_dynamics,
 )
 from coopgraph.datasets import (
     example2_clique_partition,
@@ -112,9 +111,9 @@ def test_02_myerson_defection_threshold():
     for r in (Fraction(76, 100), Fraction(7, 8), Fraction(1)):
         _check(failures, myerson_gain(g, split, mv, r) > 0, f"gain not positive at r={r}")
 
-    final, trace = run_dynamics(myerson_payoff(g, Fraction(1, 2)), split)
+    final, trace = myerson_better_response(g, Fraction(1, 2), split)
     _check(failures, trace.status == STABLE and final == split, "split moved at r=1/2")
-    final, trace = run_dynamics(myerson_payoff(g, Fraction(7, 8)), split)
+    final, trace = myerson_better_response(g, Fraction(7, 8), split)
     _check(
         failures,
         trace.status == STABLE and final == Partition.grand(g.labels),

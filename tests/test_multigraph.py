@@ -50,6 +50,11 @@ class TestParsing:
     def test_accepts_bytes(self):
         g = parse_edge_list(b"A B\nB C 2\n")
         assert g.m == 3
+        # A UTF-8 byte-order mark is not part of the first label.
+        g = parse_edge_list(b"\xef\xbb\xbfA B\nA C\n")
+        assert g.n == 3
+        assert g.labels == ("A", "B", "C")
+        assert g == parse_edge_list(b"A B\nA C\n")
 
     def test_first_mention_order(self):
         g = parse_edge_list("Z A\nA B")

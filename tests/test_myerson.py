@@ -21,9 +21,7 @@ from coopgraph import (
     myerson_better_response,
     myerson_gain,
     myerson_nash_stable,
-    myerson_payoff,
     myerson_shapley_oracle,
-    run_dynamics,
 )
 
 from conftest import random_multigraph, restricted_myerson_oracle
@@ -230,17 +228,13 @@ class TestMyersonGain:
 
 class TestMyersonDynamics:
     def test_split_stable_at_half(self, example1, example1_split):
-        final, trace = run_dynamics(
-            myerson_payoff(example1, Fraction(1, 2)), example1_split
-        )
+        final, trace = myerson_better_response(example1, Fraction(1, 2), example1_split)
         assert trace.status == STABLE
         assert trace.steps == ()
         assert final == example1_split
 
     def test_grand_at_seven_eighths(self, example1, example1_split):
-        final, trace = run_dynamics(
-            myerson_payoff(example1, Fraction(7, 8)), example1_split
-        )
+        final, trace = myerson_better_response(example1, Fraction(7, 8), example1_split)
         assert trace.status == STABLE
         assert final == Partition.grand(example1.labels)
 
@@ -256,21 +250,15 @@ class TestMyersonDynamics:
         with pytest.raises(PartitionError, match="cover"):
             myerson_nash_stable(example1, Partition([{"A", "B"}]), Fraction(1, 2))
 
-    def test_better_response_matches_the_payoff_callback(self, example1, example1_split):
-        for r in (Fraction(1, 2), Fraction(7, 8)):
-            assert myerson_better_response(example1, r, example1_split) == run_dynamics(
-                myerson_payoff(example1, r), example1_split
-            )
-
     def test_partial_start_is_refused(self, example1):
-        # run_dynamics(myerson_payoff(...), start) never sees the graph's
-        # labels and would return this start Stable with no steps.
+        # {A, B} has no improving move on its own, so a run that never
+        # looked at the graph's labels would return it Stable.
         with pytest.raises(PartitionError, match="do not cover"):
             myerson_better_response(example1, Fraction(1, 2), Partition([{"A", "B"}]))
 
     def test_one_singleton_start_is_refused(self, example1):
-        # A lone singleton has no deviation, so no payoff callback would
-        # ever run to notice the missing nodes.
+        # A lone singleton has no deviation, so no gain would ever be
+        # valued to notice the missing nodes.
         with pytest.raises(PartitionError, match="do not cover"):
             myerson_better_response(example1, Fraction(1, 2), Partition([{"A"}]))
 

@@ -336,20 +336,9 @@ def test_tables_after_a_run_are_the_live_blocks_and_fresh(data):
 
 
 class TestTableCache:
-    """The model builds each block's table once, a join needs none, and
-    the verifiers read the tables a run or a join already left."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        log: list[frozenset] = []
-        build = MyersonModel._build
-
-        def counted(model, block):
-            log.append(block)
-            return build(model, block)
-
-        monkeypatch.setattr(MyersonModel, "_build", counted)
-        return log
+    """The model searches each block's table once, a join needs none, and
+    the verifiers read the tables a run or a join already left. Every
+    miss is one search."""
 
     @pytest.fixture
     def searched(self, monkeypatch):
@@ -366,7 +355,7 @@ class TestTableCache:
         labels = sorted(g.labels)
         return g, Partition(labels[k::4] for k in range(4))
 
-    def test_one_round_robin_pass_builds_each_block_once(self, builds, graph_and_start):
+    def test_one_round_robin_pass_builds_each_block_once(self, searched, graph_and_start):
         g, p = graph_and_start
         model = MyersonModel.bind(g, Fraction(1, 2))
         evaluated = 0
@@ -374,27 +363,27 @@ class TestTableCache:
             for mv in enumerate_deviations(p, node):
                 model.gain(p, mv)
                 evaluated += 1
-        assert sorted(map(sorted, builds)) == sorted(map(sorted, p.blocks))
+        assert sorted(map(sorted, searched)) == sorted(map(sorted, p.blocks))
         assert model.misses == len(p.blocks)
         assert model.hits > evaluated  # source and target lookups after the first
 
-    def test_a_join_builds_no_table_for_the_joined_block(self, builds, graph_and_start):
+    def test_a_join_builds_no_table_for_the_joined_block(self, searched, graph_and_start):
         g, p = graph_and_start
         model = MyersonModel.bind(g, Fraction(1, 2))
         node = min(p.blocks[0])
         model.gain(p, Move(node, 0, 1))
-        assert builds == [p.blocks[0], p.blocks[1]]
+        assert searched == [p.blocks[0], p.blocks[1]]
         assert p.blocks[1] | {node} not in model.tables
 
-    def test_a_run_builds_no_block_twice(self, builds, searched, graph_and_start):
+    def test_a_run_builds_no_block_twice(self, searched, graph_and_start):
         # Tables follow the live blocks: after a run every cached table is
         # a block of the final partition. The block an accepted join
         # creates is grown from the target's table in place, so it is
-        # never built, let alone searched.
+        # never searched.
         g, p = graph_and_start
         model = MyersonModel.bind(g, Fraction(7, 8))
         final, trace = model.better_response(p)
-        assert len(builds) == len(set(builds)) == model.misses
+        assert len(searched) == len(set(searched)) == model.misses
         assert model.hits > 0
         assert set(model.tables) <= set(final.blocks)
         grown = set()
@@ -403,28 +392,7 @@ class TestTableCache:
             if not step.move.is_fresh:
                 grown.add(q.blocks[step.move.target] | {step.move.node})
             q = apply_move(q, step.move)
-        assert grown and not grown & set(builds)
-        assert not grown & set(searched)
-
-    def test_a_callback_run_grows_the_target_table_in_place(
-        self, builds, searched, graph_and_start
-    ):
-        # run_dynamics never tells the model which move it accepted. When a
-        # joined block's table is first asked for, it takes over the
-        # target's table, which has left the partition, and grows it.
-        g, p = graph_and_start
-        model = MyersonModel.bind(g, Fraction(7, 8))
-        _, trace = run_dynamics(model.gain, p)
-        assert len(builds) == model.misses
-        grown, targets, q = set(), set(), p
-        for step in trace.steps:
-            if not step.move.is_fresh:
-                targets.add(q.blocks[step.move.target])
-                grown.add(q.blocks[step.move.target] | {step.move.node})
-            q = apply_move(q, step.move)
-        assert grown and grown <= set(builds)
-        assert not grown & set(searched)
-        assert not targets & set(model.tables)
+        assert grown and not grown & set(searched)
 
     def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
         # The run's last pass valued every deviation from the final

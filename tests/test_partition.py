@@ -36,6 +36,13 @@ class TestPartition:
             Partition([["A", "B", 1, "zz"]], universe=["A", "B"])
         with pytest.raises(PartitionError, match=r"node label must be a string: \['C'\]"):
             Partition([["A"], ["B", ["C"]]])
+        # So are the universe's labels.
+        with pytest.raises(PartitionError, match="node label must be a string: 1"):
+            Partition([["A"]], universe=["A", 1, "B"])
+        with pytest.raises(PartitionError, match="node label must be a string: None"):
+            Partition([["A"]], universe=["A", None])
+        with pytest.raises(PartitionError, match=r"node label must be a string: \['B'\]"):
+            Partition([["A"]], universe=["A", ["B"]])
 
     def test_universe_check(self):
         with pytest.raises(PartitionError, match="cover"):
