@@ -72,7 +72,9 @@ def _resolve_init(arg: str, g: Multigraph) -> Partition:
 
 def _load_partition(path: str, g: Multigraph) -> Partition:
     try:
-        return partition_from_json(Path(path).read_text(), universe=g.labels)
+        # UTF-8 less a leading byte-order mark, as parse_edge_list reads bytes.
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        return partition_from_json(text, universe=g.labels)
     except ValueError as exc:
         raise ValueError(f"partition file {path!r}: {exc}") from exc
 

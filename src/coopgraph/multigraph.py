@@ -11,8 +11,9 @@ coalition (_BlockTable): member positions, geodesic counts and distance
 buckets, from one BFS per member. coalition_path_counts sums its counts
 per distance, and node_path_counts reads each member's containment
 vector from it (_containment), the count the Myerson model's payoffs
-use; the model also grows a table in place when a node joins the
-coalition.
+use. The model searches a table on a miss, grows it in place when a
+node joins the coalition, shrinks it in place when a member leaves, and
+copies it to value an entry.
 """
 
 from __future__ import annotations
@@ -357,6 +358,68 @@ class _BlockTable:
         self.own.clear()
         self.joins.clear()
 
+    def shrink(self, g: Multigraph, node: str) -> None:
+        """Turn this into the table of the coalition less the node, in
+        place. Each pair _through finds loses its geodesics through the
+        node; a pair left with none is farther apart, and the row of its
+        nearer end is searched again over the remaining members. The
+        node's row and column are swap-removed: the last member takes its
+        position."""
+        pos, sigma, rows = self.pos, self.sigma, self.rows
+        p = pos.pop(g.index_of(node))
+        si, level = sigma[p], rows[p]
+        lost = set()
+        for s, a, _, b, near in _through(rows, level):
+            if s in lost:
+                continue
+            for t in near:
+                if b == a and t < s:
+                    continue
+                w = si[s] * si[t]
+                if sigma[s][t] == w:
+                    if t in lost:
+                        continue
+                    lost.add(s)
+                    break
+                sigma[s][t] -= w
+                sigma[t][s] -= w
+        for d, ring in enumerate(level):
+            for t in ring:
+                rows[t][d].remove(p)
+        last = len(rows) - 1
+        if p != last:
+            for d, ring in enumerate(rows[last]):
+                for t in ring:
+                    rows[t][d].remove(last)
+                    rows[t][d].add(p)
+            rows[p], sigma[p] = rows[last], sigma[last]
+            for row in sigma:
+                row[p] = row[last]
+            pos[next(v for v, a in pos.items() if a == last)] = p
+            if last in lost:
+                lost.remove(last)
+                lost.add(p)
+        rows.pop()
+        sigma.pop()
+        for row in sigma:
+            row.pop()
+        if lost:
+            adj = g.adjacency
+            members = sorted(pos, key=pos.__getitem__)
+            local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
+            for s in lost:
+                ds, ss = _bfs(local, s)
+                for d, ring in enumerate(rows[s]):
+                    for t in ring:
+                        if max(ds[t], 0) != d:
+                            rows[t][d].remove(s)
+                            _file(rows[t], max(ds[t], 0), s)
+                rows[s], sigma[s] = _buckets(ds), ss
+                for row, c in zip(sigma, ss):
+                    row[s] = c
+        self.own.clear()
+        self.joins.clear()
+
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
         """A grown copy; this table is left as it is."""
         rows = [[set(ring) for ring in row] for row in self.rows]
@@ -415,13 +478,27 @@ def _detours(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
                         yield s, a, 0, b, near
 
 
-def _containment(rows: list[list[set]], si: list[int], level: list[set]) -> list[int]:
+def _through(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
+    # _detours for a member i of the coalition, whose row is level: then
+    # d(s, t) <= di[s] + di[t], so only bucket a + b of s's row can hold
+    # a pair through i. Yields as _detours does, with d = a + b.
+    for a in range(1, len(level)):
+        for s in level[a]:
+            row = rows[s]
+            for b in range(a, min(len(level), len(row) - a)):
+                near = row[a + b] & level[b]
+                if near:
+                    yield s, a, a + b, b, near
+
+
+def _containment(rows: list[list[set]], si: list[int], level: list[set], scan=_detours) -> list[int]:
     # Per length, the geodesics containing node i: sigma(i, t) per member
-    # t and sigma(s, i) sigma(i, t) per pair from _detours. Counts are
-    # doubled, and a pair met from both ends adds once from each.
+    # t and sigma(s, i) sigma(i, t) per pair from scan (_through when i is
+    # a member). Counts are doubled, and a pair met from both ends adds
+    # once from each.
     get = si.__getitem__
     counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
-    for s, a, _, b, near in _detours(rows, level):
+    for s, a, _, b, near in scan(rows, level):
         counts[a + b] += (1 if b == a else 2) * si[s] * sum(map(get, near))
     return [c // 2 for c in counts]
 
@@ -448,6 +525,6 @@ def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile
     length = max(map(len, t.rows)) - 1
     counts = {}
     for v, a in t.pos.items():
-        vec = _containment(t.rows, t.sigma[a], t.rows[a])[1:]
+        vec = _containment(t.rows, t.sigma[a], t.rows[a], _through)[1:]
         counts[g.label_of(v)] = tuple(vec[:length]) + (0,) * (length - len(vec))
     return NodePathProfile(counts, length)

@@ -11,15 +11,17 @@ r), which caches one geodesic table per block (multigraph._BlockTable,
 the table node_path_counts reads). From it:
 
 * a member i's payoff counts, per length k, the geodesics of the block
-  that contain i (multigraph._containment). It is remembered per
-  (block, node);
+  that contain i (multigraph._containment; for a pair s, t only the
+  bucket at d(s, i) + d(i, t) is read). It is remembered per (block,
+  node);
 * a node i joining block T needs no table of T + {i}: its distances and
   counts come from its neighbours' rows in T.
 
 A table has one lifecycle: it is searched on a miss, grown in place when
-better response accepts a join into its block (the source block's table
-is dropped, so the cache holds the live blocks only), and copied, then
-grown, when the external check values an entry.
+better response accepts a join into its block, shrunk in place when it
+accepts a leave from it (a singleton source's table is dropped, so the
+cache holds the live blocks only and a move searches nothing), and
+copied, then grown, when the external check values an entry.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
@@ -27,7 +29,7 @@ an accepted move. Report allocations come from node_path_counts, which
 counts on a table of its own with the same algorithm.
 
 The game has no potential, so dynamics run on partition.run_schedule
-with a canonical-form cycle key.
+with a canonical-form cycle key, joined from one kept string per block.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .multigraph import (
     _bfs_counts,
     _block_table,
     _containment,
+    _through,
     coalition_path_counts,
     node_path_counts,
 )
@@ -54,7 +57,7 @@ from .partition import (
     Trace,
     TraceStep,
     _check_move,
-    canonical_form,
+    _escape,
     nash_scan,
     run_schedule,
 )
@@ -293,9 +296,10 @@ class MyersonModel:
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
-        """The block's table, searched on a miss. Afterwards it is grown
-        in place when better response accepts a join into the block, and
-        copied when the external check values an entry into it."""
+        """The block's table, searched on a miss. Afterwards better
+        response grows it in place when it accepts a join into the block
+        and shrinks it when it accepts a leave, and the external check
+        copies it to value an entry into it."""
         t = self.tables.get(block)
         if t is None:
             self.misses += 1
@@ -315,7 +319,7 @@ class MyersonModel:
         v = t.own.get(i)
         if v is None:
             a = t.pos[i]
-            v = t.own[i] = self._scaled(_containment(t.rows, t.sigma[a], t.rows[a]))
+            v = t.own[i] = self._scaled(_containment(t.rows, t.sigma[a], t.rows[a], _through))
         return v
 
     def join_value(self, block: frozenset, node: str) -> int:
@@ -368,14 +372,23 @@ class MyersonModel:
 
 class _MyersonState:
     """The blocks for run_schedule, numbered as apply_move numbers them.
-    Gains are scaled integers. An accepted join grows the target's table
-    in place; the source's table is dropped."""
+    Gains are scaled integers. An accepted move grows the target's table
+    in place and shrinks the source's, or drops it with a singleton
+    source. keys holds each block's least member and its text in
+    canonical_form, kept for the two blocks a move changes."""
 
     def __init__(self, model: MyersonModel, p: Partition):
         self.model = model
         self.blocks = list(p.blocks)
         self.block_of = {u: k for k, block in enumerate(self.blocks) for u in block}
         self.nodes = sorted(self.block_of)
+        # canonical_form escapes every label when one of them needs it.
+        self.escape = any(_escape(u) != u for u in self.nodes)
+        self.keys = [self._key(block) for block in self.blocks]
+
+    def _key(self, block: frozenset) -> tuple[str, str]:
+        members = sorted(block)
+        return members[0], ",".join(map(_escape, members) if self.escape else members)
 
     def deviations(self, node: str):
         model, blocks = self.model, self.blocks
@@ -392,27 +405,32 @@ class _MyersonState:
 
     def accept(self, node: str, target: Optional[int], gain: int) -> TraceStep:
         mv = self.move(node, target)
-        model, blocks, s = self.model, self.blocks, mv.source
+        model, blocks, keys, s = self.model, self.blocks, self.keys, mv.source
         source = blocks[s]
-        del model.tables[source]
+        table = model.tables.pop(source)
         if target is None:
             target = len(blocks)
             blocks.append(frozenset((node,)))
+            keys.append(self._key(blocks[target]))
         else:
             t = model.tables.pop(blocks[target])
             t.grow(model.g, node)
             blocks[target] |= {node}
             model.tables[blocks[target]] = t
+            keys[target] = self._key(blocks[target])
         self.block_of[node] = target
         if len(source) > 1:
+            table.shrink(model.g, node)
             blocks[s] = source - {node}
+            model.tables[blocks[s]] = table
+            keys[s] = self._key(blocks[s])
         else:
-            del blocks[s]
+            del blocks[s], keys[s]
             self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
         return TraceStep(mv, Fraction(gain, model.den), None)
 
     def cycle_key(self) -> bytes:
-        return canonical_form(self.partition())
+        return "|".join(text for _, text in sorted(self.keys)).encode("utf-8")
 
     def partition(self) -> Partition:
         return Partition(self.blocks)

@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 from fractions import Fraction
 
@@ -469,6 +470,33 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv, str(bad))
         assert code == 2
         assert "must be a string" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("partition", "myerson", "--graph", "example1", "--r", "1/2", "--init"),
+            ("stability", "--graph", "example1", "--model", "hedonic", "--alpha", "1/5", "--partition"),
+            ("threshold", "--graph", "example1", "--p2", "{grand}", "--p1"),
+            ("threshold", "--graph", "example1", "--p1", "{grand}", "--p2"),
+        ],
+        ids=["init", "stability", "threshold-p1", "threshold-p2"],
+    )
+    def test_partition_file_with_a_byte_order_mark_reads_as_without(self, capsys, tmp_path, argv):
+        # Edge lists with a UTF-8 byte-order mark are read; partition
+        # files are too, with the same result as without the mark.
+        text = partition_to_json(Partition([{"A", "B", "C"}, {"D", "E", "F"}]))
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        grand = tmp_path / "grand.json"
+        grand.write_text(partition_to_json(Partition.grand(load_dataset("example1").labels)))
+        argv = [arg.format(grand=grand) for arg in argv]
+        outs = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 0, err
+            outs.append(re.sub(r'"timing_seconds": [0-9.e-]+', "", out))
+        assert outs[0] == outs[1]
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -3,9 +3,10 @@
 MyersonModel reads every gain from cached block tables: a member's
 payoff from its block's geodesic counts and distance buckets, a joining
 node's payoff derived from the target block's table without a table of
-the joined block, and the table of a block that an accepted join creates
-grown in place from the target's. The tests read a table's distances
-from its buckets, its only record of them.
+the joined block, and the tables of the two blocks an accepted move
+creates changed in place: the target's grown, the source's shrunk. The
+tests read a table's distances from its buckets, its only record of
+them.
 node_path_counts and coalition_path_counts read a table of the same
 kind. The references in conftest share none of that:
 reference_node_path_counts is the direct cubic loop over (x, s, t) on
@@ -50,7 +51,9 @@ from coopgraph import (
     run_dynamics,
 )
 from coopgraph import myerson
+from coopgraph.multigraph import _detours, _through
 from coopgraph.myerson import _block_table, _containment
+from coopgraph.partition import canonical_form, run_schedule
 from coopgraph.reports import partition_from_json
 
 from conftest import (
@@ -76,11 +79,15 @@ def ref_gain(g: Multigraph, p: Partition, mv: Move, r: Fraction) -> Fraction:
 
 
 @st.composite
-def graphs(draw, max_nodes=8):
+def graphs(draw, max_nodes=8, alphabet=None):
     """Small multigraphs, multiplicities 1-3, sparse enough that many
-    coalitions are disconnected; label order differs from first mention."""
+    coalitions are disconnected; label order differs from first mention.
+    With an alphabet, labels are drawn from it instead."""
     n = draw(st.integers(1, max_nodes))
-    names = draw(st.permutations([f"n{k}" for k in range(n)]))
+    if alphabet is None:
+        names = draw(st.permutations([f"n{k}" for k in range(n)]))
+    else:
+        names = draw(st.lists(st.text(alphabet, min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
     weights = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
     edges = [
         (names[i], names[j], w)
@@ -284,6 +291,99 @@ def test_a_table_grown_in_place_equals_the_searched_one(data):
         assert_buckets_partition_the_members(table)
 
 
+@SETTINGS
+@given(st.data())
+def test_a_table_shrunk_in_place_equals_the_searched_one(data):
+    # Removals may take a pair's only geodesics, disconnect the block, or
+    # leave one member; each swap-removes a row, so the next one reads
+    # renumbered buckets.
+    g = data.draw(graphs())
+    block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
+    leaving = data.draw(st.permutations(sorted(block)))
+    table = _block_table(g, block)
+    for node in leaving[: data.draw(st.integers(0, len(block) - 1))]:
+        table.shrink(g, node)
+        block -= {node}
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_partition_the_members(table)
+
+
+@pytest.mark.parametrize(
+    "edges, leaving",
+    [
+        ("a b\nb c\nc d\n", ["b", "c", "a"]),  # a path split, then down to one member
+        ("a b\nb c\nc d\nd a 2\n", ["b", "d"]),  # a cycle: counts drop, then a split
+        ("h a 2\nh b\nh c 3\na b\n", ["h", "a"]),  # a star loses its hub
+    ],
+    ids=["path", "cycle", "star"],
+)
+def test_shrinking_splits_and_empties_a_block(edges, leaving):
+    g = parse_edge_list(edges)
+    block = frozenset(g.labels)
+    table = _block_table(g, block)
+    table.own[0] = table.joins[0] = 1
+    for node in leaving:
+        table.shrink(g, node)
+        block -= {node}
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_partition_the_members(table)
+        assert not table.own and not table.joins
+    assert len(block) == len(table.rows) >= 1
+
+
+@SETTINGS
+@given(st.data())
+def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
+    # A node outside the block joins, a member other than the last leaves.
+    g = data.draw(graphs())
+    block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
+    table = _block_table(g, block)
+    for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=10)):
+        if node not in block:
+            table.grow(g, node)
+            block |= {node}
+        elif len(block) > 1:
+            table.shrink(g, node)
+            block -= {node}
+        assert_same_table(table, _block_table(g, block))
+        assert_buckets_partition_the_members(table)
+
+
+class CheckedState(myerson._MyersonState):
+    """The dynamics state, checking each cycle key it hands out against
+    canonical_form of its partition."""
+
+    def __init__(self, model, p):
+        super().__init__(model, p)
+        self.checked = 0
+
+    def cycle_key(self):
+        key = super().cycle_key()
+        assert key == canonical_form(self.partition())
+        self.checked += 1
+        return key
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_cycle_key_is_the_canonical_form_after_every_move(data):
+    # Labels with commas, bars or backslashes make canonical_form escape
+    # every label; run_schedule asks for a key at the start and after
+    # every accepted move.
+    alphabet = data.draw(st.sampled_from([None, "ab,", "a|\\", "ab,|\\"]))
+    g = data.draw(graphs(max_nodes=7, alphabet=alphabet))
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    schedule = Schedule(
+        policy=data.draw(st.sampled_from([ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])),
+        seed=data.draw(st.integers(0, 3)),
+    )
+    state = CheckedState(MyersonModel.bind(g, r), p)
+    got = run_schedule(state, schedule)
+    assert state.checked == 1 + len(got[1].steps)
+    assert got == myerson_better_response(g, r, p, schedule)
+
+
 def without_trailing_zeros(counts):
     counts = list(counts)
     while counts and counts[-1] == 0:
@@ -294,8 +394,9 @@ def without_trailing_zeros(counts):
 @SETTINGS
 @given(st.data())
 def test_bucketed_containment_matches_the_all_pairs_reference(data):
-    # For every member (its own row) and every other node (its entry), on
-    # a searched table or one grown from a smaller block.
+    # For every member (its own row, scanned at exact lengths and by
+    # _detours) and every other node (its entry), on a searched table or
+    # one grown from a smaller block.
     g = data.draw(graphs())
     block = data.draw(st.lists(st.sampled_from(g.labels), min_size=1, unique=True))
     grown = data.draw(st.integers(0, len(block) - 1))
@@ -307,11 +408,14 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
         if i in table.pos:
             a = table.pos[i]
             si, level = table.sigma[a], table.rows[a]
+            scans = [_through, _detours]
         else:
             si, level = table.entry(g.adjacency[i])
-        got = _containment(table.rows, si, level)
+            scans = [_detours]
         want = reference_containment(all_distances(table), distances(level, len(si)), si)
-        assert without_trailing_zeros(got) == without_trailing_zeros(want)
+        for scan in scans:
+            got = _containment(table.rows, si, level, scan)
+            assert without_trailing_zeros(got) == without_trailing_zeros(want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -393,6 +497,24 @@ class TestTableCache:
                 grown.add(q.blocks[step.move.target] | {step.move.node})
             q = apply_move(q, step.move)
         assert grown and not grown & set(searched)
+
+    def test_a_run_searches_no_remainder(self, searched):
+        # Each accepted move shrinks its source's table in place, so the
+        # run searches its start blocks and any singleton it opens, no
+        # block a node has left, and ends with a table for every block.
+        g = parse_edge_list(PLANTED.read_text())
+        labels = sorted(g.labels)
+        p = Partition(labels[k::4] for k in range(4))
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        final, trace = model.better_response(p)
+        opened = {frozenset((step.move.node,)) for step in trace.steps if step.move.is_fresh}
+        left, q = 0, p
+        for step in trace.steps:
+            left += len(q.blocks[step.move.source]) > 1
+            q = apply_move(q, step.move)
+        assert left > 20
+        assert sorted(map(sorted, searched)) == sorted(map(sorted, set(p.blocks) | opened))
+        assert set(model.tables) == set(final.blocks)
 
     def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
         # The run's last pass valued every deviation from the final
