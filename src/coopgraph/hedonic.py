@@ -240,9 +240,9 @@ class _BlockState:
         self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
 
     def deviations(self, i: int):
-        """(target, scaled gain) per deviation of node i: the other blocks in
-        position order, then None for a fresh block unless i is alone. A
-        move from S to T gains lam (A_iT - A_iS) - kap c_i (C_T - C_S + c_i)."""
+        """(target, scaled gain) per deviation of node i that can gain: other
+        blocks in position order, then None for a fresh block. A move from
+        S to T gains lam (A_iT - A_iS) - kap c_i (C_T - C_S + c_i)."""
         model, block, total = self.model, self.block, self.total
         s = block[i]
         links: dict[int, int] = {}
@@ -251,13 +251,14 @@ class _BlockState:
             links[b] = links.get(b, 0) + w
         lam = model.lam
         kc = model.kap * model.c[i]
-        # The part of the gain that does not depend on the target; it is
-        # the whole gain of a move to a fresh block.
-        leave = -lam * links.get(s, 0) - kc * (model.c[i] - total[s])
-        for t in range(len(total)):
+        # The part of the gain that does not depend on the target: the
+        # whole gain of a fresh block, 0 when i is alone. An unlinked block
+        # gains leave - kc C_T, never more when kc >= 0 (c_i >= 0 always).
+        leave = -lam * links.pop(s, 0) - kc * (model.c[i] - total[s])
+        for t in sorted(links) if kc >= 0 and leave <= 0 else range(len(total)):
             if t != s:
                 yield t, leave + lam * links.get(t, 0) - kc * total[t]
-        if self.size[s] > 1:
+        if leave > 0:
             yield None, leave
 
     def move(self, i: int, target: Optional[int]) -> Move:

@@ -11,13 +11,12 @@ coalition (_BlockTable): member positions, geodesic counts and distance
 buckets, from one BFS per member. coalition_path_counts sums its counts
 per distance, and node_path_counts reads each member's containment
 vector from it (_containment), the count the Myerson model's payoffs
-use. The model searches a table on a miss, grows it in place when a
-node joins the coalition, shrinks it in place when a member leaves, and
-copies it to value an entry.
+use; the Myerson model keeps one table per live block.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -154,10 +153,10 @@ def parse_edge_list(text: bytes | str) -> Multigraph:
         u, v = parts[0], parts[1]
         w = 1
         if len(parts) == 3:
-            try:
-                w = int(parts[2])
-            except ValueError:
-                raise EdgeListError(f"multiplicity is not an integer: {parts[2]!r}", line=lineno) from None
+            # ASCII digits only: int() would also read "1_0" and other scripts' digits.
+            if not re.fullmatch(r"[+-]?[0-9]+", parts[2]):
+                raise EdgeListError(f"multiplicity is not an integer: {parts[2]!r}", line=lineno)
+            w = int(parts[2])
             if w <= 0:
                 raise EdgeListError(f"multiplicity must be positive: {w}", line=lineno)
         if u == v:

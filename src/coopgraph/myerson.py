@@ -15,7 +15,9 @@ the table node_path_counts reads). From it:
   bucket at d(s, i) + d(i, t) is read). It is remembered per (block,
   node);
 * a node i joining block T needs no table of T + {i}: its distances and
-  counts come from its neighbours' rows in T.
+  counts come from its neighbours' rows in T. In a block it has no link
+  to, or a fresh one, i is isolated and paid 0, never more than now:
+  dynamics and the external check value only the blocks i links to.
 
 A table has one lifecycle: it is searched on a miss, grown in place when
 better response accepts a join into its block, shrunk in place when it
@@ -296,10 +298,8 @@ class MyersonModel:
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
-        """The block's table, searched on a miss. Afterwards better
-        response grows it in place when it accepts a join into the block
-        and shrinks it when it accepts a leave, and the external check
-        copies it to value an entry into it."""
+        """The block's table, searched on a miss (its lifecycle is in the
+        module docstring)."""
         t = self.tables.get(block)
         if t is None:
             self.misses += 1
@@ -336,9 +336,7 @@ class MyersonModel:
         """The moving node's payoff in the joined coalition minus its payoff
         now, read from the cached tables; a fresh block is a singleton and
         pays zero. Raises PartitionError for a node outside its source
-        block or a missing target block. This is one gain: dynamics go
-        through better_response, which retires the tables of the blocks
-        that leave the partition."""
+        block or a missing target block."""
         _check_move(p, mv)
         now = self.value(p.blocks[mv.source], mv.node)
         if mv.is_fresh:
@@ -357,8 +355,9 @@ class MyersonModel:
         p.check_cover(self.g.labels)
         for node in sorted(p.nodes):
             src = p.block_of(node)
-            for k, block in enumerate(p.blocks):
-                if k == src or self.join_value(block, node) <= self.value(p.blocks[src], node):
+            for k in _linked(self.g, node, p.block_of, src):
+                block = p.blocks[k]
+                if self.join_value(block, node) <= self.value(p.blocks[src], node):
                     continue
                 # block's table is cached by join_value; the joined block's
                 # grows from a copy of it, so neither is searched again.
@@ -370,9 +369,16 @@ class MyersonModel:
         return True, None
 
 
+def _linked(g: Multigraph, node: str, block_of, own: int) -> list[int]:
+    # The blocks other than own that the node links to, by position: no
+    # other move pays it more than 0 (see the module docstring).
+    labels = g.labels
+    return sorted({block_of(labels[j]) for j in g.adjacency[g.index_of(node)]} - {own})
+
+
 class _MyersonState:
     """The blocks for run_schedule, numbered as apply_move numbers them.
-    Gains are scaled integers. An accepted move grows the target's table
+    Gains are scaled integers. An accepted join grows the target's table
     in place and shrinks the source's, or drops it with a singleton
     source. keys holds each block's least member and its text in
     canonical_form, kept for the two blocks a move changes."""
@@ -393,31 +399,24 @@ class _MyersonState:
     def deviations(self, node: str):
         model, blocks = self.model, self.blocks
         s = self.block_of[node]
-        now = model.value(blocks[s], node)
-        for k, block in enumerate(blocks):
-            if k != s:
-                yield k, model.join_value(block, node) - now
-        if len(blocks[s]) > 1:
-            yield None, -now
+        linked = _linked(model.g, node, self.block_of.__getitem__, s)
+        now = model.value(blocks[s], node) if linked else 0
+        for k in linked:
+            yield k, model.join_value(blocks[k], node) - now
 
-    def move(self, node: str, target: Optional[int]) -> Move:
+    def move(self, node: str, target: int) -> Move:
         return Move(node, self.block_of[node], target)
 
-    def accept(self, node: str, target: Optional[int], gain: int) -> TraceStep:
+    def accept(self, node: str, target: int, gain: int) -> TraceStep:
         mv = self.move(node, target)
         model, blocks, keys, s = self.model, self.blocks, self.keys, mv.source
         source = blocks[s]
         table = model.tables.pop(source)
-        if target is None:
-            target = len(blocks)
-            blocks.append(frozenset((node,)))
-            keys.append(self._key(blocks[target]))
-        else:
-            t = model.tables.pop(blocks[target])
-            t.grow(model.g, node)
-            blocks[target] |= {node}
-            model.tables[blocks[target]] = t
-            keys[target] = self._key(blocks[target])
+        t = model.tables.pop(blocks[target])
+        t.grow(model.g, node)
+        blocks[target] |= {node}
+        model.tables[blocks[target]] = t
+        keys[target] = self._key(blocks[target])
         self.block_of[node] = target
         if len(source) > 1:
             table.shrink(model.g, node)

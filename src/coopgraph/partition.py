@@ -1,12 +1,12 @@
 """Partitions of a node set and single-node better-response machinery.
 
 One schedule loop, run_schedule, drives every dynamics run. It asks a
-state object for the exact gain of each deviation, accepts a move only
-on strictly positive gain, and reports how it stopped (Stable,
-CycleDetected or CapReached). run_dynamics adapts a payoff callback over
-immutable Partition values to it; the hedonic and Myerson engines supply
-their own states, and nash_scan finds the first improving deviation of
-either. Payoffs backed by a potential always stop Stable.
+state object for the exact gain of each deviation (a state may skip
+those that cannot be positive), accepts a move only on strictly
+positive gain, and reports how it stopped (Stable, CycleDetected or
+CapReached). run_dynamics adapts a payoff callback to it; the hedonic
+and Myerson engines supply their own states, and nash_scan finds the
+first improving deviation of any state. Potential games stop Stable.
 """
 
 from __future__ import annotations
@@ -217,10 +217,11 @@ class DynamicsState(Protocol):
     """Mutable partition state driven by run_schedule.
 
     nodes lists the nodes in visiting order (label order). deviations
-    yields (handle, gain) for each deviation of a node, lazily and in
-    enumerate_deviations order; accept applies one of them and returns its
-    trace step. cycle_key is the current partition's canonical form, or
-    None when a potential rules cycles out and no key need be kept.
+    yields (handle, gain) for the deviations of a node, lazily and in
+    enumerate_deviations order, and may skip any that cannot gain;
+    accept applies one and returns its trace step. cycle_key is the
+    current partition's canonical form, or None where a potential rules
+    out cycles.
     """
 
     nodes: list

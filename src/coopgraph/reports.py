@@ -19,7 +19,7 @@ from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
 from .partition import Move, Partition, Trace
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def format_rational(q) -> str:

@@ -8,7 +8,9 @@ a fixed geodesic game over every coalition of a chosen communication
 graph. reference_node_path_counts keeps the library's former cubic
 containment loop as a second, independent reference, and
 reference_containment the Myerson model's former all-pairs count of the
-geodesics through one node.
+geodesics through one node. assert_skips_only_losing_deviations checks
+a dynamics state's deviations against every move enumerate_deviations
+lists.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from coopgraph import CharPoly, Multigraph, Partition, induced_subgraph, load_dataset
+from coopgraph import CharPoly, Multigraph, Partition, enumerate_deviations, induced_subgraph, load_dataset
 from coopgraph.multigraph import NodePathProfile, _bfs_counts
 
 
@@ -241,3 +243,21 @@ def reference_containment(dist, di, si):
             if dist[s][t] < 0 or length <= dist[s][t]:
                 counts[length] += si[s] * si[t]
     return counts
+
+
+def assert_skips_only_losing_deviations(p: Partition, deviations, gain, den: int) -> None:
+    """deviations(node) yields a dynamics state's (target, scaled gain)
+    pairs on p, gain(move) is the model's exact gain. Per node the state
+    must yield targets in enumerate_deviations order, each once, with the
+    model's gain times den, and every move it leaves out must gain at
+    most 0."""
+    for node in sorted(p.nodes):
+        yielded = list(deviations(node))
+        scaled = dict(yielded)
+        moves = enumerate_deviations(p, node)
+        assert [k for k, _ in yielded] == [mv.target for mv in moves if mv.target in scaled]
+        for mv in moves:
+            if mv.target in scaled:
+                assert scaled[mv.target] == gain(mv) * den
+            else:
+                assert gain(mv) <= 0

@@ -44,6 +44,12 @@ class TestRationals:
         assert parse_rational("7") == 7
         assert parse_rational("-1/2") == Fraction(-1, 2)
 
+    @pytest.mark.parametrize("text", ["\uff13", "1/\uff12"], ids=["fullwidth", "fullwidth-denominator"])
+    def test_ascii_digits_only(self, text):
+        # Fraction() alone would read the first as 3.
+        with pytest.raises(ValueError, match="expected a rational"):
+            parse_rational(text)
+
     def test_floats_rejected(self):
         for bad in ("0.5", "1e-3", "a/b", "3/0", ""):
             with pytest.raises(ValueError):

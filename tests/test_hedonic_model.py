@@ -24,6 +24,7 @@ from coopgraph import (
     ROUND_ROBIN,
     SEEDED_RANDOM,
     AlphaModel,
+    HedonicModel,
     Modularity,
     Multigraph,
     Partition,
@@ -38,8 +39,9 @@ from coopgraph import (
     potential,
     run_dynamics,
 )
+from coopgraph.hedonic import _BlockState
 
-from conftest import random_multigraph
+from conftest import assert_skips_only_losing_deviations, random_multigraph
 
 
 def ref_pair_value(vf, g: Multigraph, u: str, v: str) -> Fraction:
@@ -182,6 +184,29 @@ def test_nash_witness_is_the_first_improving_move(game):
     g, vf, p = game
     witness = ref_first_improving(vf, g, p)
     assert nash_stable(vf, g, p) == (witness is None, witness)
+
+
+@st.composite
+def signed_games(draw):
+    """games() with gamma of either sign. A negative gamma, or a negative
+    beta with a positive gamma, makes kap c_i negative, and then a block a
+    node has no link to can gain."""
+    g, vf, p = draw(games())
+    if isinstance(vf, Modularity) and draw(st.booleans()):
+        gamma = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+        vf = Modularity(gamma=-gamma, beta=vf.beta)
+    return g, vf, p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(signed_games())
+def test_the_state_leaves_out_only_deviations_that_cannot_gain(game):
+    g, vf, p = game
+    model = HedonicModel.bind(vf, g)
+    state = _BlockState(model, p)
+    assert_skips_only_losing_deviations(
+        p, lambda node: state.deviations(g.index_of(node)), lambda mv: model.gain(p, mv), model.den
+    )
 
 
 def _set_partitions(items):

@@ -70,6 +70,16 @@ class TestParsing:
         with pytest.raises(EdgeListError, match="positive"):
             parse_edge_list("A B -2")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a b\nb c 1_0", "a b\nd e \u0663"],
+        ids=["underscore", "arabic-indic-digit"],
+    )
+    def test_multiplicity_in_ascii_digits_only(self, text):
+        # int() would read these as 10 and 3.
+        with pytest.raises(EdgeListError, match="line 2: multiplicity is not an integer"):
+            parse_edge_list(text)
+
     def test_malformed_rejected(self):
         with pytest.raises(EdgeListError, match="line 1"):
             parse_edge_list("A")

@@ -57,6 +57,7 @@ from coopgraph.partition import canonical_form, run_schedule
 from coopgraph.reports import partition_from_json
 
 from conftest import (
+    assert_skips_only_losing_deviations,
     brute_force_profiles,
     reference_allocation,
     reference_containment,
@@ -160,6 +161,18 @@ def test_gains_match_the_shapley_oracle(data):
         for mv in enumerate_deviations(p, node):
             joined = 0 if mv.is_fresh else oracle(p.blocks[mv.target] | {node}, node)
             assert model.gain(p, mv) == joined - now
+
+
+@SETTINGS
+@given(st.data())
+def test_the_state_leaves_out_only_deviations_that_cannot_gain(data):
+    # A node is isolated in a block it has no link to, and alone in a
+    # fresh one: the state yields neither, only its linked blocks.
+    g = data.draw(graphs())
+    p = data.draw(partitions(g))
+    model = MyersonModel.bind(g, data.draw(DISCOUNTS))
+    state = myerson._MyersonState(model, p)
+    assert_skips_only_losing_deviations(p, state.deviations, lambda mv: model.gain(p, mv), model.den)
 
 
 def ref_first_improving(g, p, r):
@@ -526,6 +539,20 @@ class TestTableCache:
         misses = model.misses
         assert model.nash_stable(final) == (True, None)
         assert model.misses == misses
+
+    def test_a_grand_coalition_values_no_payoff(self, searched, monkeypatch):
+        # In a connected graph no node links outside the grand coalition,
+        # so neither verifier has a join to value, nor a member payoff to
+        # compare it with.
+        calls = []
+        containment = myerson._containment
+        monkeypatch.setattr(myerson, "_containment", lambda *args: calls.append(args) or containment(*args))
+        g = load_dataset("karate")
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        grand = Partition.grand(g.labels)
+        assert model.nash_stable(grand) == (True, None)
+        assert model.external_stability(grand) == (True, None)
+        assert calls == [] and searched == []
 
     def test_external_check_derives_each_entered_block(self, searched):
         # Two beneficial entries are blocked by an incumbent before an
