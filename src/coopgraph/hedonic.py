@@ -29,7 +29,8 @@ where A_iX sums a_ij over i's neighbours in X and C_X sums c over X: the
 local-move gain of Louvain (Blondel et al. 2008) in integers, O(deg i)
 to gather the link sums and O(1) per target block. The potential is a
 sum of pair values, so a move changes it by exactly the mover's gain
-(Monderer & Shapley 1996) and better response tracks it incrementally.
+(Monderer & Shapley 1996): a trace's gains sum to the potential's rise,
+and better response never computes the potential.
 
 Everything is exact: gains and potentials are integers over den, and a
 Fraction is built only where a value leaves the engine (an accepted
@@ -220,9 +221,9 @@ class _BlockState:
     numbers them (an emptied block is dropped and later positions shift
     down; a fresh block is appended); size and total hold each block's
     member count and sum of c. Gains stay scaled integers; a Fraction is
-    built only for an accepted move, whose objective_after is the previous
-    potential plus its gain. The potential rises at every accepted move,
-    so no partition can repeat and no cycle key is kept.
+    built only for an accepted move, its gain. The potential rises by that
+    gain at every accepted move, so no partition can repeat and no cycle
+    key is kept.
     """
 
     def __init__(self, model: HedonicModel, p: Partition):
@@ -235,8 +236,6 @@ class _BlockState:
                 self.block[i] = k
         self.size = [len(members) for members in index_blocks]
         self.total = [sum(model.c[i] for i in members) for members in index_blocks]
-        links, pairs = model.within(index_blocks)
-        self.scaled = model.lam * links - model.kap * pairs
         self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
 
     def deviations(self, i: int):
@@ -280,9 +279,7 @@ class _BlockState:
         if size[s] == 0:
             del size[s], total[s]
             block[:] = [b - (b > s) for b in block]
-        self.scaled += gain
-        den = self.model.den
-        return TraceStep(mv, Fraction(gain, den), Fraction(self.scaled, den))
+        return TraceStep(mv, Fraction(gain, self.model.den))
 
     def cycle_key(self) -> None:
         return None
@@ -342,10 +339,9 @@ def better_response(
     """Better-response dynamics on the hedonic game; start must cover
     exactly g's nodes.
 
-    The potential rises strictly at every accepted move and there are
-    finitely many partitions, so the run always stops Stable (or at the
-    step cap) and the result passes nash_stable. Each step's
-    objective_after is the potential after the move."""
+    The potential rises by exactly the step's gain at every accepted move
+    and there are finitely many partitions, so the run always stops Stable
+    (or at the step cap) and the result passes nash_stable."""
     start.check_cover(g.labels)
     return run_schedule(_BlockState(HedonicModel.bind(vf, g), start), schedule)
 

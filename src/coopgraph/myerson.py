@@ -352,28 +352,25 @@ class MyersonModel:
         return nash_scan(_MyersonState(self, p))
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
+        """(True, None) when every beneficial entry into a block is blocked
+        by an incumbent whose payoff would strictly drop; otherwise False
+        and the first unblocked (node, block index). The entries are the
+        positive-gain deviations that dynamics and nash_stable walk."""
         p.check_cover(self.g.labels)
-        for node in sorted(p.nodes):
-            src = p.block_of(node)
-            for k in _linked(self.g, node, p.block_of, src):
-                block = p.blocks[k]
-                if self.join_value(block, node) <= self.value(p.blocks[src], node):
+        state = _MyersonState(self, p)
+        for node in state.nodes:
+            for k, gain in state.deviations(node):
+                if gain <= 0:
                     continue
                 # block's table is cached by join_value; the joined block's
                 # grows from a copy of it, so neither is searched again.
+                block = p.blocks[k]
                 joined = block | {node}
                 if joined not in self.tables:
                     self.tables[joined] = self.table(block).grown(self.g, node)
                 if not any(self.value(joined, j) < self.value(block, j) for j in block):
                     return False, (node, k)
         return True, None
-
-
-def _linked(g: Multigraph, node: str, block_of, own: int) -> list[int]:
-    # The blocks other than own that the node links to, by position: no
-    # other move pays it more than 0 (see the module docstring).
-    labels = g.labels
-    return sorted({block_of(labels[j]) for j in g.adjacency[g.index_of(node)]} - {own})
 
 
 class _MyersonState:
@@ -397,9 +394,12 @@ class _MyersonState:
         return members[0], ",".join(map(_escape, members) if self.escape else members)
 
     def deviations(self, node: str):
-        model, blocks = self.model, self.blocks
-        s = self.block_of[node]
-        linked = _linked(model.g, node, self.block_of.__getitem__, s)
+        model, blocks, block_of = self.model, self.blocks, self.block_of
+        g = model.g
+        s = block_of[node]
+        # Only the blocks the node links to, by position: no other move
+        # pays it more than 0 (see the module docstring).
+        linked = sorted({block_of[g.labels[j]] for j in g.adjacency[g.index_of(node)]} - {s})
         now = model.value(blocks[s], node) if linked else 0
         for k in linked:
             yield k, model.join_value(blocks[k], node) - now
@@ -426,7 +426,7 @@ class _MyersonState:
         else:
             del blocks[s], keys[s]
             self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
-        return TraceStep(mv, Fraction(gain, model.den), None)
+        return TraceStep(mv, Fraction(gain, model.den))
 
     def cycle_key(self) -> bytes:
         return "|".join(text for _, text in sorted(self.keys)).encode("utf-8")

@@ -64,8 +64,11 @@ class Partition:
             for node in block:
                 if not isinstance(node, str):
                     raise PartitionError(f"node label must be a string: {node!r}")
-                if block_of.setdefault(node, k) != k:
+                if node in block_of:
+                    if block_of[node] == k:
+                        raise PartitionError(f"node listed twice in one block: {node!r}")
                     raise PartitionError(f"node in two blocks: {node!r}")
+                block_of[node] = k
             blks.append(frozenset(block))
         self._blocks = tuple(blks)
         self._block_of = block_of
@@ -78,7 +81,9 @@ class Partition:
 
     @classmethod
     def grand(cls, nodes: Iterable[str]) -> "Partition":
-        return cls([set(nodes)])
+        """One block of all the nodes; no block when there are none."""
+        members = set(nodes)
+        return cls([members] if members else [])
 
     @property
     def blocks(self) -> tuple[frozenset[str], ...]:
@@ -197,9 +202,10 @@ class Schedule:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """An accepted move and the mover's exact gain."""
+
     move: Move
     gain: Fraction
-    objective_after: Optional[Fraction]
 
 
 @dataclass(frozen=True)
@@ -311,9 +317,8 @@ class _CallbackState:
     """Immutable Partition values advanced by apply_move, with gains from a
     payoff callback."""
 
-    def __init__(self, payoff: PayoffFn, start: Partition, objective):
+    def __init__(self, payoff: PayoffFn, start: Partition):
         self.payoff = payoff
-        self.objective = objective
         self.p = start
         self.nodes = sorted(start.nodes)
 
@@ -324,8 +329,7 @@ class _CallbackState:
 
     def accept(self, node, mv: Move, gain) -> TraceStep:
         self.p = apply_move(self.p, mv)
-        after = self.objective(self.p) if self.objective is not None else None
-        return TraceStep(mv, gain, after)
+        return TraceStep(mv, gain)
 
     def cycle_key(self) -> bytes:
         return canonical_form(self.p)
@@ -335,16 +339,13 @@ class _CallbackState:
 
 
 def run_dynamics(
-    payoff: PayoffFn,
-    start: Partition,
-    schedule: Schedule = Schedule(),
-    objective: Optional[Callable[[Partition], Fraction]] = None,
+    payoff: PayoffFn, start: Partition, schedule: Schedule = Schedule()
 ) -> tuple[Partition, Trace]:
     """run_schedule with gains from a payoff callback.
 
-    payoff(partition, move) must return an exact comparable gain. When an
-    objective callback is supplied its value after each accepted move is
-    recorded in the trace. Every accepted partition is kept for cycle
-    detection, since a callback need not come from a potential.
+    payoff(partition, move) must return an exact comparable gain; the
+    trace records each accepted move with it. Every accepted partition is
+    kept for cycle detection, since a callback need not come from a
+    potential.
     """
-    return run_schedule(_CallbackState(payoff, start, objective), schedule)
+    return run_schedule(_CallbackState(payoff, start), schedule)

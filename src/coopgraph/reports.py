@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
-from .partition import Move, Partition, Trace
+from .partition import Move, Partition, Trace, canonical_form
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -74,8 +74,6 @@ def trace_to_obj(trace: Trace) -> list[dict]:
 def sweep_to_csv(table: SweepTable) -> str:
     """CSV with exact rational columns; partition ids are assigned by first
     appearance in the table."""
-    from .partition import canonical_form
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

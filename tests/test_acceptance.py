@@ -386,9 +386,15 @@ def test_08_potential_game_identities():
         final, trace = better_response(vf, g, start)
         if trace.status != STABLE:
             failures.append(f"better response stopped {trace.status}")
-        after = [s.objective_after for s in trace.steps]
-        if any(b <= a for a, b in zip(after, after[1:])):
-            failures.append("potential trace not strictly increasing")
+        # Replayed, every step raises the potential by exactly its gain.
+        p, before = start, potential(vf, g, start).value
+        for step in trace.steps:
+            p = apply_move(p, step.move)
+            after = potential(vf, g, p).value
+            if step.gain <= 0 or after - before != step.gain:
+                failures.append(f"trace gain {step.gain} is not the positive potential rise {after - before}")
+                break
+            before = after
         if not nash_stable(vf, g, final)[0]:
             failures.append("better response output not Nash-stable")
     _report("08", "move gains equal potential differences", failures,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import weakref
@@ -256,6 +258,20 @@ class TestPartitionCommand:
         assert len(report["trace"]) == 2
         assert report["partition"] == {"blocks": [["a", "b", "b,c", "c"]]}
 
+    @pytest.mark.parametrize(
+        "argv", [("hedonic", "--alpha", "1/5"), ("myerson", "--r", "1/2")], ids=["hedonic", "myerson"]
+    )
+    def test_graph_without_nodes_starts_alike_from_grand_and_singletons(self, capsys, tmp_path, argv):
+        graph = tmp_path / "comments.edges"
+        graph.write_text("# no edges\n")
+        outs = []
+        for init in ("grand", "singletons"):
+            code, out, err = run(capsys, "partition", *argv, "--graph", str(graph), "--init", init)
+            assert code == 0, err
+            outs.append(re.sub(r'"timing_seconds": [0-9.e-]+', "", out))
+        assert outs[0] == outs[1]
+        assert '"blocks": []' in outs[0]
+
     def test_bad_rational_exits_2(self, capsys):
         code, _, err = run(
             capsys, "partition", "hedonic", "--graph", "example1", "--alpha", "0.2"
@@ -404,6 +420,16 @@ class TestSweepCommand:
         assert lines[2].startswith("1/9,1,P1,")
         assert '"A,B,C|D,E,F"' in lines[2]
 
+    def test_graph_without_nodes_has_one_row(self, capsys, tmp_path):
+        graph = tmp_path / "comments.edges"
+        graph.write_text("# no edges\n# and no nodes\n")
+        code, out, err = run(capsys, "sweep", "--graph", str(graph))
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["alpha_lo"], row["alpha_hi"], row["partition_canonical"]) for row in rows] == [
+            ("0", "1", "")
+        ]
+
     def test_start_files(self, capsys, tmp_path):
         split = tmp_path / "split.json"
         split.write_text(
@@ -476,6 +502,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv, str(bad))
         assert code == 2
         assert "must be a string" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stability", "--graph", "example1", "--model", "myerson", "--r", "1/2", "--partition"),
+            ("partition", "myerson", "--graph", "example1", "--r", "1/2", "--init"),
+        ],
+        ids=["stability", "init"],
+    )
+    def test_member_listed_twice_in_partition_file_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"blocks": [["A", "A", "B", "C"], ["D", "E", "F"]]}))
+        code, _, err = run(capsys, *argv, str(bad))
+        assert code == 2
+        assert "node listed twice in one block: 'A'" in err
 
     @pytest.mark.parametrize(
         "argv",

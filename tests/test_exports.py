@@ -51,3 +51,27 @@ def test_no_module_imports_a_name_it_never_uses():
         and (names := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert unused == {}
+
+
+def _references(tree: ast.AST, skip=None) -> set[str]:
+    # Names and attribute names read anywhere in the tree, outside skip.
+    inside = set() if skip is None else {id(node) for node in ast.walk(skip)}
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
+    }
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level _name function or class that only its own definition
+    # mentions is dead code.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_references(t) for name, t in trees.items() if name != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if node.name not in elsewhere | _references(tree, skip=node):
+                    dead.append(f"{module}:{node.name}")
+    assert dead == []

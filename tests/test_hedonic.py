@@ -236,6 +236,8 @@ class TestBetterResponse:
         assert nash_stable(vf, example1, final)[0]
 
     def test_output_always_nash_stable(self):
+        from coopgraph import apply_move
+
         rng = random.Random(83)
         for _ in range(15):
             g = random_multigraph(rng, rng.randint(2, 7))
@@ -244,8 +246,12 @@ class TestBetterResponse:
             final, trace = better_response(vf, g, start)
             assert trace.status == STABLE
             assert nash_stable(vf, g, final)[0]
-            after = [s.objective_after for s in trace.steps]
-            assert all(b > a for a, b in zip(after, after[1:]))
+            p, before = start, potential(vf, g, start).value
+            for step in trace.steps:
+                p = apply_move(p, step.move)
+                after = potential(vf, g, p).value
+                assert step.gain > 0 and after - before == step.gain
+                before = after
 
 
 class TestPartitionThreshold:

@@ -162,17 +162,20 @@ def test_potential_matches_the_pair_sum(game):
 def test_dynamics_match_the_reference_payoff_under_every_schedule(game, seed, max_steps):
     g, vf, start = game
     payoff = lambda p, mv: ref_gain(vf, g, p, mv)  # noqa: E731
-    objective = lambda p: ref_potential(vf, g, p)  # noqa: E731
     for policy in (ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST):
         schedule = Schedule(policy=policy, seed=seed, max_steps=max_steps)
         final, trace = better_response(vf, g, start, schedule)
-        ref_final, ref_trace = run_dynamics(payoff, start, schedule, objective)
+        ref_final, ref_trace = run_dynamics(payoff, start, schedule)
         assert trace == ref_trace
         assert final.blocks == ref_final.blocks
-        p = start
+        # The potential property: replayed, every step raises the reference
+        # potential by exactly its gain.
+        p, before = start, ref_potential(vf, g, start)
         for step in trace.steps:
             p = apply_move(p, step.move)
-            assert step.objective_after == ref_potential(vf, g, p)
+            after = ref_potential(vf, g, p)
+            assert step.gain > 0 and after - before == step.gain
+            before = after
         if trace.status == "Stable":
             assert ref_first_improving(vf, g, final) is None
             assert nash_stable(vf, g, final) == (True, None)

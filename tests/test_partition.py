@@ -31,6 +31,10 @@ class TestPartition:
             Partition([{"A", "B"}, {"B"}])
         with pytest.raises(PartitionError, match="nonempty"):
             Partition([{"A"}, set()])
+        with pytest.raises(PartitionError, match="node listed twice in one block: 'A'"):
+            Partition([["A", "A", "B"], ["C"]])
+        with pytest.raises(PartitionError, match="node in two blocks: 'A'"):
+            Partition([["A", "B"], ["C", "A", "A"]])
         # Members are checked before they are hashed or compared.
         with pytest.raises(PartitionError, match="node label must be a string: 1"):
             Partition([["A", "B", 1, "zz"]], universe=["A", "B"])
@@ -57,6 +61,8 @@ class TestPartition:
     def test_constructors(self):
         assert len(Partition.singletons("ABC")) == 3
         assert len(Partition.grand("ABC")) == 1
+        # The grand coalition of no nodes has no block, as their singletons.
+        assert Partition.grand([]) == Partition([]) == Partition.singletons([])
 
     def test_block_of(self):
         p = Partition([{"A", "B"}, {"C"}])
@@ -227,15 +233,6 @@ class TestRunDynamics:
             lambda p, mv: Fraction(1), Partition.singletons("AB")
         )
         assert trace.status == CYCLE_DETECTED
-
-    def test_objective_recorded(self):
-        payoff = _pair_payoff([("A", "B")])
-        final, trace = run_dynamics(
-            payoff,
-            Partition.singletons("AB"),
-            objective=lambda p: Fraction(len(p)),
-        )
-        assert [s.objective_after for s in trace.steps] == [Fraction(1)]
 
     @pytest.mark.parametrize("policy", [ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])
     def test_determinism(self, policy):
