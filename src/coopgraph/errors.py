@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the check that keeps floats out."""
+
+from fractions import Fraction
 
 
 class EdgeListError(ValueError):
@@ -17,3 +19,10 @@ class PartitionError(ValueError):
 
 class SizeGateError(ValueError):
     """An exact enumeration was refused because the input exceeds its size gate."""
+
+
+def _exact(value, name: str) -> Fraction:
+    # A float's binary value is rarely the rational meant (0.1 is not 1/10).
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be an int, a Fraction or a 'p/q' string, got the float {value!r}")
+    return Fraction(value)

@@ -33,9 +33,10 @@ sum of pair values, so a move changes it by exactly the mover's gain
 and better response never computes the potential.
 
 Everything is exact: gains and potentials are integers over den, and a
-Fraction is built only where a value leaves the engine (an accepted
-move, a reported potential, a pair value). Potentials, move gains,
-stability thresholds and sweep breakpoints are exact rationals.
+Fraction is built only where a value leaves the engine (a trace step,
+built when a trace is asked for, a reported potential, a pair value);
+alpha_sweep builds no trace, and its envelope compares integer lines.
+Potentials, move gains, thresholds and breakpoints are exact rationals.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import SizeGateError
+from .errors import SizeGateError, _exact
 from .multigraph import Multigraph
 from .partition import (
     Move,
@@ -54,9 +55,11 @@ from .partition import (
     Trace,
     TraceStep,
     _check_move,
+    _logged_steps,
     canonical_form,
     nash_scan,
     run_schedule,
+    settle,
 )
 
 BRUTEFORCE_MAX_NODES = 10
@@ -73,7 +76,7 @@ class AlphaModel:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _exact(self.alpha, "alpha"))
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -91,9 +94,9 @@ class Modularity:
     beta: Optional[Fraction] = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "gamma", _exact(self.gamma, "gamma"))
         if self.beta is not None:
-            object.__setattr__(self, "beta", Fraction(self.beta))
+            object.__setattr__(self, "beta", _exact(self.beta, "beta"))
 
 
 ValueFunction = Union[AlphaModel, Modularity]
@@ -215,15 +218,14 @@ def _alpha_scalars(alpha: Fraction) -> dict:
 
 
 class _BlockState:
-    """Index-array partition state for run_schedule.
+    """Index-array partition state for settle.
 
     block[i] is the position of node i's block, numbered as apply_move
     numbers them (an emptied block is dropped and later positions shift
     down; a fresh block is appended); size and total hold each block's
-    member count and sum of c. Gains stay scaled integers; a Fraction is
-    built only for an accepted move, its gain. The potential rises by that
-    gain at every accepted move, so no partition can repeat and no cycle
-    key is kept.
+    member count and sum of c. Gains stay scaled integers, in the log
+    too. The potential rises by the gain at every accepted move, so no
+    partition can repeat and no cycle key is kept.
     """
 
     def __init__(self, model: HedonicModel, p: Partition):
@@ -237,6 +239,7 @@ class _BlockState:
         self.size = [len(members) for members in index_blocks]
         self.total = [sum(model.c[i] for i in members) for members in index_blocks]
         self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
+        self.log: list[tuple] = []
 
     def deviations(self, i: int):
         """(target, scaled gain) per deviation of node i that can gain: other
@@ -263,10 +266,10 @@ class _BlockState:
     def move(self, i: int, target: Optional[int]) -> Move:
         return Move(self.model.g.labels[i], self.block[i], target)
 
-    def accept(self, i: int, target: Optional[int], gain: int) -> TraceStep:
-        mv = self.move(i, target)
+    def accept(self, i: int, target: Optional[int], gain: int) -> None:
         block, size, total = self.block, self.size, self.total
         s, ci = block[i], self.model.c[i]
+        self.log.append((self.model.g.labels[i], s, target, gain))
         if target is None:
             target = len(size)
             size.append(0)
@@ -279,7 +282,9 @@ class _BlockState:
         if size[s] == 0:
             del size[s], total[s]
             block[:] = [b - (b > s) for b in block]
-        return TraceStep(mv, Fraction(gain, self.model.den))
+
+    def steps(self) -> tuple[TraceStep, ...]:
+        return _logged_steps(self.log, self.model.den)
 
     def cycle_key(self) -> None:
         return None
@@ -393,7 +398,7 @@ def alpha_sweep(
     Every candidate and start must cover exactly g's nodes. The graph is
     bound once; each grid point only rescales the binding.
     """
-    lo, hi = Fraction(alpha_range[0]), Fraction(alpha_range[1])
+    lo, hi = _exact(alpha_range[0], "alpha range"), _exact(alpha_range[1], "alpha range")
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"alpha range must satisfy 0 <= lo < hi <= 1, got [{lo}, {hi}]")
     structure = HedonicModel.bind(AlphaModel(0), g)
@@ -404,8 +409,8 @@ def alpha_sweep(
         for p in cands:
             p.check_cover(g.labels)
     else:
-        if grid < 1:
-            raise ValueError("grid must be at least 1")
+        if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+            raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
         base = list(starts) if starts is not None else []
         for s in base:
             s.check_cover(g.labels)
@@ -415,7 +420,9 @@ def alpha_sweep(
             a = lo + (hi - lo) * Fraction(j, grid)
             model = replace(structure, vf=AlphaModel(a), **_alpha_scalars(a))
             for s in base:
-                final, _ = run_schedule(_BlockState(model, s))
+                state = _BlockState(model, s)
+                settle(state)
+                final = state.partition()
                 found.setdefault(canonical_form(final), final)
         cands = [found[key] for key in sorted(found)]
     return SweepTable(tuple(_envelope(structure, cands, lo, hi)))
@@ -429,23 +436,26 @@ def _envelope(structure, candidates, lo, hi):
         form = _form(structure, p)
         if form not in lines or canonical_form(p) < canonical_form(lines[form]):
             lines[form] = p
-    entries = [(Fraction(i), Fraction(s), p) for (i, s), p in lines.items()]
+    # Lines i + s a are compared at a = an / ad (ad > 0) as ad i + s an.
     # Ties go to the steeper line, so adjacent rows never share a partition.
     rows = []
-    a = lo
+    a, start = (lo.numerator, lo.denominator), lo
+    top = (hi.numerator, hi.denominator)
     while True:
-        winner = max(entries, key=lambda ln: (ln[0] + ln[1] * a, ln[1]))
-        cut = hi
-        for intercept, slope, _ in entries:
-            if slope > winner[1]:
-                x = (winner[0] - intercept) / (slope - winner[1])
-                if a < x < cut:
-                    cut = x
-        rows.append(SweepRow(a, cut, winner[2], winner[0], winner[1]))
-        if cut >= hi:
-            break
-        a = cut
-    return rows
+        an, ad = a
+        (wi, ws), winner = max(lines.items(), key=lambda ln: (ln[0][0] * ad + ln[0][1] * an, ln[0][1]))
+        # Every steeper line is below the winner at a, so it crosses the
+        # winner after a, at (wi - i) / (s - ws); the first crossing before
+        # hi ends the row. cut stays top when no line crosses before hi.
+        cut = top
+        for i, s in lines:
+            if s > ws and (wi - i) * cut[1] < cut[0] * (s - ws):
+                cut = (wi - i, s - ws)
+        end = hi if cut is top else Fraction(*cut)
+        rows.append(SweepRow(start, end, winner, Fraction(wi), Fraction(ws)))
+        if cut is top:
+            return rows
+        a, start = cut, end
 
 
 def iter_set_partitions(items: Iterable):

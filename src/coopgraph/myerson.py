@@ -27,11 +27,12 @@ copied, then grown, when the external check values an entry.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
-an accepted move. Report allocations come from node_path_counts, which
-counts on a table of its own with the same algorithm.
+a trace step, when a trace is asked for. Report allocations come from
+node_path_counts, which counts on a table of its own with the same
+algorithm.
 
-The game has no potential, so dynamics run on partition.run_schedule
-with a canonical-form cycle key, joined from one kept string per block.
+The game has no potential, so dynamics run on partition.settle with a
+canonical-form cycle key, joined from one kept string per block.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import SizeGateError
+from .errors import SizeGateError, _exact
 from .multigraph import (
     Multigraph,
     PathProfile,
@@ -60,6 +61,7 @@ from .partition import (
     TraceStep,
     _check_move,
     _escape,
+    _logged_steps,
     nash_scan,
     run_schedule,
 )
@@ -98,7 +100,7 @@ class CharPoly:
         return self._coeffs[k - 1] if k <= len(self._coeffs) else Fraction(0)
 
     def evaluate(self, r) -> Fraction:
-        r = Fraction(r)
+        r = _exact(r, "r")
         total = Fraction(0)
         power = Fraction(1)
         for c in self._coeffs:
@@ -264,7 +266,7 @@ def myerson_shapley_oracle(g: Multigraph, node: str) -> CharPoly:
 
 
 def _check_r(r) -> Fraction:
-    r = Fraction(r)
+    r = _exact(r, "discount r")
     if not 0 <= r <= 1:
         raise ValueError(f"discount r must lie in [0, 1], got {r}")
     return r
@@ -374,11 +376,11 @@ class MyersonModel:
 
 
 class _MyersonState:
-    """The blocks for run_schedule, numbered as apply_move numbers them.
-    Gains are scaled integers. An accepted join grows the target's table
-    in place and shrinks the source's, or drops it with a singleton
-    source. keys holds each block's least member and its text in
-    canonical_form, kept for the two blocks a move changes."""
+    """The blocks for settle, numbered as apply_move numbers them.
+    Gains are scaled integers, in the log too. An accepted join grows the
+    target's table in place and shrinks the source's, or drops it with a
+    singleton source. keys holds each block's least member and its text
+    in canonical_form, kept for the two blocks a move changes."""
 
     def __init__(self, model: MyersonModel, p: Partition):
         self.model = model
@@ -388,6 +390,7 @@ class _MyersonState:
         # canonical_form escapes every label when one of them needs it.
         self.escape = any(_escape(u) != u for u in self.nodes)
         self.keys = [self._key(block) for block in self.blocks]
+        self.log: list[tuple] = []
 
     def _key(self, block: frozenset) -> tuple[str, str]:
         members = sorted(block)
@@ -407,9 +410,9 @@ class _MyersonState:
     def move(self, node: str, target: int) -> Move:
         return Move(node, self.block_of[node], target)
 
-    def accept(self, node: str, target: int, gain: int) -> TraceStep:
-        mv = self.move(node, target)
-        model, blocks, keys, s = self.model, self.blocks, self.keys, mv.source
+    def accept(self, node: str, target: int, gain: int) -> None:
+        model, blocks, keys, s = self.model, self.blocks, self.keys, self.block_of[node]
+        self.log.append((node, s, target, gain))
         source = blocks[s]
         table = model.tables.pop(source)
         t = model.tables.pop(blocks[target])
@@ -426,7 +429,9 @@ class _MyersonState:
         else:
             del blocks[s], keys[s]
             self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
-        return TraceStep(mv, Fraction(gain, model.den))
+
+    def steps(self) -> tuple[TraceStep, ...]:
+        return _logged_steps(self.log, self.model.den)
 
     def cycle_key(self) -> bytes:
         return "|".join(text for _, text in sorted(self.keys)).encode("utf-8")

@@ -1,12 +1,14 @@
 """Partitions of a node set and single-node better-response machinery.
 
-One schedule loop, run_schedule, drives every dynamics run. It asks a
-state object for the exact gain of each deviation (a state may skip
-those that cannot be positive), accepts a move only on strictly
-positive gain, and reports how it stopped (Stable, CycleDetected or
-CapReached). run_dynamics adapts a payoff callback to it; the hedonic
-and Myerson engines supply their own states, and nash_scan finds the
-first improving deviation of any state. Potential games stop Stable.
+One schedule loop, settle, drives every dynamics run. It asks a state
+object for the exact gain of each deviation (a state may skip those
+that cannot be positive), accepts a move only on strictly positive
+gain, and returns how it stopped (Stable, CycleDetected or CapReached).
+The state logs accepted moves as plain numbers; run_schedule builds the
+trace from the log. run_dynamics adapts a payoff callback to it; the
+hedonic and Myerson engines supply their own states, and nash_scan
+finds the first improving deviation of any state. Potential games stop
+Stable.
 """
 
 from __future__ import annotations
@@ -56,14 +58,10 @@ class Partition:
         blks = []
         block_of: dict[str, int] = {}
         for k, block in enumerate(blocks):
-            # Members are checked before they are hashed, so an unhashable
-            # one is refused like any other non-string.
             block = tuple(block)
             if not block:
                 raise PartitionError("blocks must be nonempty")
-            for node in block:
-                if not isinstance(node, str):
-                    raise PartitionError(f"node label must be a string: {node!r}")
+            for node in map(_label, block):
                 if node in block_of:
                     if block_of[node] == k:
                         raise PartitionError(f"node listed twice in one block: {node!r}")
@@ -77,12 +75,12 @@ class Partition:
 
     @classmethod
     def singletons(cls, nodes: Iterable[str]) -> "Partition":
-        return cls([{u} for u in nodes])
+        return cls([u] for u in nodes)
 
     @classmethod
     def grand(cls, nodes: Iterable[str]) -> "Partition":
-        """One block of all the nodes; no block when there are none."""
-        members = set(nodes)
+        """One block of all the nodes, each once; no block when there are none."""
+        members = set(map(_label, nodes))
         return cls([members] if members else [])
 
     @property
@@ -94,13 +92,8 @@ class Partition:
         return frozenset(self._block_of)
 
     def check_cover(self, universe: Iterable[str]) -> None:
-        """Raise PartitionError unless the blocks cover exactly the universe.
-        Labels are checked before they are hashed, as members are."""
-        labels = set()
-        for node in universe:
-            if not isinstance(node, str):
-                raise PartitionError(f"node label must be a string: {node!r}")
-            labels.add(node)
+        """Raise PartitionError unless the blocks cover exactly the universe."""
+        labels = set(map(_label, universe))
         missing = labels - self._block_of.keys()
         extra = self._block_of.keys() - labels
         if missing:
@@ -128,6 +121,14 @@ class Partition:
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(sorted(b)) + "}" for b in self._blocks)
         return f"Partition({inner})"
+
+
+def _label(node) -> str:
+    # Labels are checked before they are hashed, so an unhashable one is
+    # refused like any other non-string.
+    if not isinstance(node, str):
+        raise PartitionError(f"node label must be a string: {node!r}")
+    return node
 
 
 def canonical_form(p: Partition) -> bytes:
@@ -220,29 +221,33 @@ PayoffFn = Callable[[Partition, Move], Fraction]
 
 
 class DynamicsState(Protocol):
-    """Mutable partition state driven by run_schedule.
+    """Mutable partition state driven by settle.
 
     nodes lists the nodes in visiting order (label order). deviations
     yields (handle, gain) for the deviations of a node, lazily and in
-    enumerate_deviations order, and may skip any that cannot gain;
-    accept applies one and returns its trace step. cycle_key is the
-    current partition's canonical form, or None where a potential rules
-    out cycles.
+    enumerate_deviations order, and may skip any that cannot gain.
+    accept applies one, logs (node label, source, target, gain) and
+    returns nothing; steps() builds the trace steps from the log, only
+    when a trace is asked for. cycle_key is the current partition's
+    canonical form, or None where a potential rules out cycles.
     """
 
     nodes: list
 
     def deviations(self, node) -> Iterator[tuple[object, object]]: ...
 
-    def accept(self, node, handle, gain) -> TraceStep: ...
+    def accept(self, node, handle, gain) -> None: ...
+
+    def steps(self) -> tuple[TraceStep, ...]: ...
 
     def cycle_key(self) -> Optional[bytes]: ...
 
     def partition(self) -> Partition: ...
 
 
-def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
-    """Apply strictly improving single-node deviations until none is left.
+def settle(state: DynamicsState, schedule: Schedule = Schedule()) -> str:
+    """Apply strictly improving single-node deviations until none is left,
+    and return how the run stopped.
 
     A deviation is accepted only when its gain is strictly positive, so
     ties keep the current coalition. Round-robin visits the nodes in
@@ -261,16 +266,18 @@ def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple
     rng = random.Random(schedule.seed)
     key = state.cycle_key()
     seen = None if key is None else {key}
-    steps: list[TraceStep] = []
+    accepted = 0
 
     def accept(node, handle, gain) -> Optional[str]:
-        steps.append(state.accept(node, handle, gain))
+        nonlocal accepted
+        state.accept(node, handle, gain)
+        accepted += 1
         if seen is not None:
             key = state.cycle_key()
             if key in seen:
                 return CYCLE_DETECTED
             seen.add(key)
-        if len(steps) >= cap:
+        if accepted >= cap:
             return CAP_REACHED
         return None
 
@@ -282,10 +289,10 @@ def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple
                     if gain > 0 and (best is None or gain > best[2]):
                         best = (node, handle, gain)
             if best is None:
-                return state.partition(), Trace(tuple(steps), STABLE)
+                return STABLE
             stop = accept(*best)
             if stop is not None:
-                return state.partition(), Trace(tuple(steps), stop)
+                return stop
 
     while True:
         order = nodes if schedule.policy == ROUND_ROBIN else rng.sample(nodes, len(nodes))
@@ -296,10 +303,21 @@ def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple
                     moved = True
                     stop = accept(node, handle, gain)
                     if stop is not None:
-                        return state.partition(), Trace(tuple(steps), stop)
+                        return stop
                     break
         if not moved:
-            return state.partition(), Trace(tuple(steps), STABLE)
+            return STABLE
+
+
+def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
+    """settle, then the final partition and the trace of the run."""
+    status = settle(state, schedule)
+    return state.partition(), Trace(state.steps(), status)
+
+
+def _logged_steps(log, den) -> tuple[TraceStep, ...]:
+    # Trace steps of a state's log, with exact gains gain / den.
+    return tuple(TraceStep(Move(node, s, t), Fraction(gain, den)) for node, s, t, gain in log)
 
 
 def nash_scan(state) -> tuple[bool, Optional[Move]]:
@@ -321,15 +339,19 @@ class _CallbackState:
         self.payoff = payoff
         self.p = start
         self.nodes = sorted(start.nodes)
+        self.log: list[tuple] = []
 
     def deviations(self, node):
         p = self.p
         for mv in enumerate_deviations(p, node):
             yield mv, self.payoff(p, mv)
 
-    def accept(self, node, mv: Move, gain) -> TraceStep:
+    def accept(self, node, mv: Move, gain) -> None:
         self.p = apply_move(self.p, mv)
-        return TraceStep(mv, gain)
+        self.log.append((node, mv.source, mv.target, gain))
+
+    def steps(self) -> tuple[TraceStep, ...]:
+        return _logged_steps(self.log, 1)
 
     def cycle_key(self) -> bytes:
         return canonical_form(self.p)

@@ -8,7 +8,8 @@ a fixed geodesic game over every coalition of a chosen communication
 graph. reference_node_path_counts keeps the library's former cubic
 containment loop as a second, independent reference, and
 reference_containment the Myerson model's former all-pairs count of the
-geodesics through one node. assert_skips_only_losing_deviations checks
+geodesics through one node, and reference_envelope the alpha sweep's
+former envelope in Fractions. assert_skips_only_losing_deviations checks
 a dynamics state's deviations against every move enumerate_deviations
 lists.
 """
@@ -21,7 +22,15 @@ from fractions import Fraction
 
 import pytest
 
-from coopgraph import CharPoly, Multigraph, Partition, enumerate_deviations, induced_subgraph, load_dataset
+from coopgraph import (
+    CharPoly,
+    Multigraph,
+    Partition,
+    canonical_form,
+    enumerate_deviations,
+    induced_subgraph,
+    load_dataset,
+)
 from coopgraph.multigraph import NodePathProfile, _bfs_counts
 
 
@@ -243,6 +252,33 @@ def reference_containment(dist, di, si):
             if dist[s][t] < 0 or length <= dist[s][t]:
                 counts[length] += si[s] * si[t]
     return counts
+
+
+def reference_envelope(forms, lo, hi):
+    """Upper envelope over [lo, hi] of the lines intercept + slope * alpha,
+    walked in Fractions: forms pairs each candidate partition with its
+    integer (intercept, slope). Equal forms keep the canonically smallest
+    partition; at a tie the steeper line wins. Rows are (alpha_lo,
+    alpha_hi, partition, intercept, slope)."""
+    lines = {}
+    for form, p in forms:
+        if form not in lines or canonical_form(p) < canonical_form(lines[form]):
+            lines[form] = p
+    entries = [(Fraction(i), Fraction(s), p) for (i, s), p in lines.items()]
+    rows = []
+    a = Fraction(lo)
+    while True:
+        winner = max(entries, key=lambda ln: (ln[0] + ln[1] * a, ln[1]))
+        cut = Fraction(hi)
+        for intercept, slope, _ in entries:
+            if slope > winner[1]:
+                x = (winner[0] - intercept) / (slope - winner[1])
+                if a < x < cut:
+                    cut = x
+        rows.append((a, cut, winner[2], winner[0], winner[1]))
+        if cut >= hi:
+            return rows
+        a = cut
 
 
 def assert_skips_only_losing_deviations(p: Partition, deviations, gain, den: int) -> None:

@@ -75,3 +75,16 @@ def test_every_private_helper_has_a_caller():
                 if node.name not in elsewhere | _references(tree, skip=node):
                     dead.append(f"{module}:{node.name}")
     assert dead == []
+
+
+def test_no_float_enters_the_package():
+    # Game arithmetic is exact: no module holds a float literal or calls
+    # float(). The CLI's timing (round(elapsed, 6)) is the one float.
+    floats = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            if literal or call:
+                floats.append(f"{path.name}:{node.lineno}")
+    assert floats == []

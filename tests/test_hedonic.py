@@ -5,9 +5,11 @@ import pytest
 
 from coopgraph import (
     AlphaModel,
+    CharPoly,
     Modularity,
     HedonicModel,
     Move,
+    MyersonModel,
     Multigraph,
     Partition,
     PartitionError,
@@ -25,11 +27,14 @@ from coopgraph import (
     partition_threshold,
     potential,
 )
+from coopgraph import hedonic, partition
 from coopgraph.datasets import (
     example2_clique_partition,
     karate_split_15_19,
     karate_split_17_17,
 )
+from coopgraph.hedonic import _BlockState
+from coopgraph.partition import run_schedule
 
 from conftest import random_multigraph, random_partition
 
@@ -379,6 +384,30 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match="range"):
             alpha_sweep(example1, alpha_range=(frac("1/2"), frac("1/4")))
 
+    def test_discovery_builds_no_trace(self, monkeypatch):
+        # The reference discovery loop runs every start to a traced
+        # run_schedule; the sweep's own discovery may build no Move and no
+        # TraceStep, yet finds the same table.
+        g = random_multigraph(random.Random(5), 12, edge_prob=0.3, connected=True)
+        lo, hi, grid = frac("1/3"), frac("5/7"), 6
+        starts = [random_partition(random.Random(6), g.labels)]
+        found = {}
+        for j in range(grid + 1):
+            model = HedonicModel.bind(AlphaModel(lo + (hi - lo) * Fraction(j, grid)), g)
+            for s in starts + [Partition.singletons(g.labels), Partition.grand(g.labels)]:
+                final, _ = run_schedule(_BlockState(model, s))
+                found.setdefault(canonical_form(final), final)
+        expected = alpha_sweep(g, [found[key] for key in sorted(found)], alpha_range=(lo, hi))
+        assert len(expected.rows) > 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("alpha_sweep discovery built a trace object")
+
+        for module in (hedonic, partition):
+            monkeypatch.setattr(module, "Move", refuse)
+            monkeypatch.setattr(module, "TraceStep", refuse)
+        assert alpha_sweep(g, starts=starts, grid=grid, alpha_range=(lo, hi)) == expected
+
 
 class TestBruteForce:
     def test_bell_numbers(self):
@@ -472,6 +501,29 @@ class TestBoundaryValidation:
             HedonicModel.bind(Modularity(beta=beta), g)
         with pytest.raises(ValueError, match="at least one edge"):
             nash_stable(Modularity(beta=beta), g, Partition.singletons(g.labels))
+
+    @pytest.mark.parametrize(
+        "call, bad, good",
+        [
+            (lambda x: AlphaModel(x).alpha, 0.1, "1/10"),
+            (lambda x: Modularity(gamma=x).gamma, 0.3, Fraction(3, 10)),
+            (lambda x: Modularity(beta=x).beta, 0.5, 2),
+            (lambda x: MyersonModel.bind(Multigraph([("u", "v")]), x).den, 0.1, "1/10"),
+            (lambda x: CharPoly([1]).evaluate(x), 0.5, "1/2"),
+            (lambda x: alpha_sweep(Multigraph([("u", "v")]), alpha_range=(x, 1), grid=2), 0.1, "1/10"),
+            (lambda x: alpha_sweep(Multigraph([("u", "v")]), alpha_range=(0, x), grid=2), 0.9, Fraction(9, 10)),
+            (lambda x: alpha_sweep(Multigraph([("u", "v")]), grid=x), 2.5, 2),
+            (lambda x: alpha_sweep(Multigraph([("u", "v")]), grid=x), True, 1),
+        ],
+        ids=["alpha", "gamma", "beta", "r", "evaluate-r", "range-lo", "range-hi", "grid-float", "grid-bool"],
+    )
+    def test_floats_and_inexact_grids_are_refused(self, call, bad, good):
+        # A float would enter as its binary fraction (0.1 as
+        # 3602879701896397/36028797018963968); ints, Fractions and "p/q"
+        # strings are exact and stay accepted.
+        call(good)
+        with pytest.raises(ValueError, match="float|int"):
+            call(bad)
 
     def test_move_gain_refuses_block_indices_outside_the_partition(self, example1, example1_split):
         # A negative index must not wrap to the last block, and one past

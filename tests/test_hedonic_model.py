@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,9 +40,11 @@ from coopgraph import (
     potential,
     run_dynamics,
 )
-from coopgraph.hedonic import _BlockState
+from coopgraph import hedonic
+from coopgraph.hedonic import SweepRow, _BlockState, _envelope
+from coopgraph.partition import _CallbackState, settle
 
-from conftest import assert_skips_only_losing_deviations, random_multigraph
+from conftest import assert_skips_only_losing_deviations, random_multigraph, reference_envelope
 
 
 def ref_pair_value(vf, g: Multigraph, u: str, v: str) -> Fraction:
@@ -162,12 +165,24 @@ def test_potential_matches_the_pair_sum(game):
 def test_dynamics_match_the_reference_payoff_under_every_schedule(game, seed, max_steps):
     g, vf, start = game
     payoff = lambda p, mv: ref_gain(vf, g, p, mv)  # noqa: E731
+    # Every move gains 1 under restless, so its runs stop CycleDetected or
+    # CapReached.
+    restless = lambda p, mv: Fraction(1)  # noqa: E731
     for policy in (ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST):
         schedule = Schedule(policy=policy, seed=seed, max_steps=max_steps)
         final, trace = better_response(vf, g, start, schedule)
         ref_final, ref_trace = run_dynamics(payoff, start, schedule)
         assert trace == ref_trace
         assert final.blocks == ref_final.blocks
+        # settle alone stops where run_schedule does, on the same partition.
+        runs = [
+            (_BlockState(HedonicModel.bind(vf, g), start), final, trace),
+            (_CallbackState(payoff, start), ref_final, ref_trace),
+            (_CallbackState(restless, start), *run_dynamics(restless, start, schedule)),
+        ]
+        for state, run_final, run_trace in runs:
+            assert settle(state, schedule) == run_trace.status
+            assert state.partition().blocks == run_final.blocks
         # The potential property: replayed, every step raises the reference
         # potential by exactly its gain.
         p, before = start, ref_potential(vf, g, start)
@@ -280,3 +295,67 @@ def test_modularity_potential_matches_networkx():
         q = nx.community.modularity(nxg, [set(b) for b in p.blocks])
         # Q sums (A_ij - d_i d_j / 2m) / 2m over ordered pairs, i == j included.
         assert float(potential(vf, g, p).value) == pytest.approx(g.m * q + float(squares), rel=1e-9)
+
+
+def _lines_through(x: Fraction, value: int, slopes) -> list[tuple[int, int]]:
+    # Integer lines i + s a through (x, value): slopes are multiples of x's
+    # denominator, so every intercept is an integer.
+    q = x.denominator
+    return [(value - t * x.numerator, t * q) for t in slopes]
+
+
+@st.composite
+def line_sets(draw):
+    """Integer (intercept, slope) lines, repeats and equal slopes included,
+    sometimes with three or more through one point, and an alpha range
+    whose endpoints may be crossings of the lines or non-dyadic."""
+    small = st.integers(-6, 6)
+    forms = draw(st.lists(st.tuples(small, small), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        x = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+        slopes = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=4, unique=True))
+        forms += _lines_through(x, draw(small), slopes)
+    crossings = {
+        Fraction(i2 - i1, s1 - s2)
+        for i1, s1 in forms
+        for i2, s2 in forms
+        if s1 != s2 and 0 <= Fraction(i2 - i1, s1 - s2) <= 1
+    }
+    ends = st.one_of(
+        st.sampled_from(sorted(crossings | {Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7)})),
+        st.fractions(min_value=0, max_value=1, max_denominator=9),
+    )
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return forms, lo, hi
+
+
+def assert_envelope_matches_the_reference(forms, lo, hi):
+    # Candidate k is a one-node partition with its own canonical form and
+    # the line forms[k], so repeated forms keep the smallest candidate.
+    candidates = [Partition([[f"c{k:02d}"]]) for k in range(len(forms))]
+    form_of = dict(zip(candidates, forms))
+    with mock.patch.object(hedonic, "_form", lambda structure, p: form_of[p]):
+        rows = _envelope(None, candidates, lo, hi)
+    assert rows == [SweepRow(*row) for row in reference_envelope(list(zip(forms, candidates)), lo, hi)]
+    assert {type(v) for row in rows for v in (row.alpha_lo, row.alpha_hi, row.intercept, row.slope)} == {Fraction}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line_sets())
+def test_the_integer_envelope_matches_the_fraction_reference(lines):
+    assert_envelope_matches_the_reference(*lines)
+
+
+@pytest.mark.parametrize(
+    "forms, lo, hi",
+    [
+        ([(3, -2)], Fraction(0), Fraction(1)),
+        ([(1, -1), (4, -1), (2, -1)], Fraction(0), Fraction(1)),
+        (_lines_through(Fraction(1, 3), 2, [-2, 0, 1]), Fraction(0), Fraction(1)),
+        (_lines_through(Fraction(1, 3), 2, [-2, 0, 1]), Fraction(0), Fraction(1, 3)),
+        ([(5, -9), (3, -3), (2, 0), (0, 4)], Fraction(1, 3), Fraction(5, 7)),
+    ],
+    ids=["one-line", "equal-slopes", "three-through-a-point", "three-through-the-end", "non-dyadic-range"],
+)
+def test_the_integer_envelope_on_named_line_sets(forms, lo, hi):
+    assert_envelope_matches_the_reference(forms, lo, hi)

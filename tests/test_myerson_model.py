@@ -53,7 +53,7 @@ from coopgraph import (
 from coopgraph import myerson
 from coopgraph.multigraph import _detours, _through
 from coopgraph.myerson import _block_table, _containment
-from coopgraph.partition import canonical_form, run_schedule
+from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
 
 from conftest import (
@@ -377,12 +377,21 @@ class CheckedState(myerson._MyersonState):
         return key
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+class RestlessState(CheckedState):
+    """Every deviation the dynamics state yields gains 1, so a node can
+    hop between blocks it links to and a run can stop CycleDetected."""
+
+    def deviations(self, node):
+        for k, _ in super().deviations(node):
+            yield k, 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.data())
 def test_the_cycle_key_is_the_canonical_form_after_every_move(data):
     # Labels with commas, bars or backslashes make canonical_form escape
     # every label; run_schedule asks for a key at the start and after
-    # every accepted move.
+    # every accepted move. The restless state runs into cycles.
     alphabet = data.draw(st.sampled_from([None, "ab,", "a|\\", "ab,|\\"]))
     g = data.draw(graphs(max_nodes=7, alphabet=alphabet))
     p = data.draw(partitions(g))
@@ -390,11 +399,18 @@ def test_the_cycle_key_is_the_canonical_form_after_every_move(data):
     schedule = Schedule(
         policy=data.draw(st.sampled_from([ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])),
         seed=data.draw(st.integers(0, 3)),
+        max_steps=data.draw(st.one_of(st.none(), st.integers(1, 6))),
     )
-    state = CheckedState(MyersonModel.bind(g, r), p)
-    got = run_schedule(state, schedule)
-    assert state.checked == 1 + len(got[1].steps)
-    assert got == myerson_better_response(g, r, p, schedule)
+    for cls in (CheckedState, RestlessState):
+        state = cls(MyersonModel.bind(g, r), p)
+        got = run_schedule(state, schedule)
+        assert state.checked == 1 + len(got[1].steps)
+        if cls is CheckedState:
+            assert got == myerson_better_response(g, r, p, schedule)
+        # settle alone stops where run_schedule does, on the same partition.
+        state = cls(MyersonModel.bind(g, r), p)
+        assert settle(state, schedule) == got[1].status
+        assert state.partition() == got[0]
 
 
 def without_trailing_zeros(counts):

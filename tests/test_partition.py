@@ -40,6 +40,11 @@ class TestPartition:
             Partition([["A", "B", 1, "zz"]], universe=["A", "B"])
         with pytest.raises(PartitionError, match=r"node label must be a string: \['C'\]"):
             Partition([["A"], ["B", ["C"]]])
+        # So are the nodes given to the constructors.
+        with pytest.raises(PartitionError, match=r"node label must be a string: \['A'\]"):
+            Partition.grand([["A"]])
+        with pytest.raises(PartitionError, match=r"node label must be a string: \['A'\]"):
+            Partition.singletons([["A"]])
         # So are the universe's labels.
         with pytest.raises(PartitionError, match="node label must be a string: 1"):
             Partition([["A"]], universe=["A", 1, "B"])
@@ -63,6 +68,8 @@ class TestPartition:
         assert len(Partition.grand("ABC")) == 1
         # The grand coalition of no nodes has no block, as their singletons.
         assert Partition.grand([]) == Partition([]) == Partition.singletons([])
+        # A repeated node is one member of the grand coalition.
+        assert Partition.grand(["a", "a", "b"]) == Partition([["a", "b"]])
 
     def test_block_of(self):
         p = Partition([{"A", "B"}, {"C"}])
