@@ -22,7 +22,9 @@ class SizeGateError(ValueError):
 
 
 def _exact(value, name: str) -> Fraction:
-    # A float's binary value is rarely the rational meant (0.1 is not 1/10).
-    if isinstance(value, float):
-        raise ValueError(f"{name} must be an int, a Fraction or a 'p/q' string, got the float {value!r}")
+    # A float's binary value is rarely the rational meant (0.1 is not 1/10),
+    # and a bool is a flag, not a number.
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"{name} must be an int, a Fraction or a 'p/q' string, got the {kind} {value!r}")
     return Fraction(value)

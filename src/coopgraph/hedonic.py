@@ -53,9 +53,7 @@ from .partition import (
     Partition,
     Schedule,
     Trace,
-    TraceStep,
     _check_move,
-    _logged_steps,
     canonical_form,
     nash_scan,
     run_schedule,
@@ -240,6 +238,7 @@ class _BlockState:
         self.total = [sum(model.c[i] for i in members) for members in index_blocks]
         self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
         self.log: list[tuple] = []
+        self.den = model.den
 
     def deviations(self, i: int):
         """(target, scaled gain) per deviation of node i that can gain: other
@@ -282,9 +281,6 @@ class _BlockState:
         if size[s] == 0:
             del size[s], total[s]
             block[:] = [b - (b > s) for b in block]
-
-    def steps(self) -> tuple[TraceStep, ...]:
-        return _logged_steps(self.log, self.model.den)
 
     def cycle_key(self) -> None:
         return None

@@ -285,19 +285,18 @@ class NodePathProfile:
 class _BlockTable:
     """One coalition's member positions (pos maps graph index to row),
     geodesic counts and distance buckets, its only record of distance:
-    rows[a][d] for d >= 1, rows[a][0] the members a cannot reach. own and
-    joins hold the Myerson payoffs already derived, keyed by graph index
-    and scaled by the model's denominator: own for members, joins for
-    nodes joining the coalition."""
+    rows[a][d] for d >= 1, rows[a][0] the members a cannot reach. paid
+    holds the Myerson payoffs already derived, keyed by graph index and
+    scaled by the model's denominator: a member's in the coalition, an
+    outsider's in the coalition it would join."""
 
-    __slots__ = ("pos", "sigma", "rows", "own", "joins")
+    __slots__ = ("pos", "sigma", "rows", "paid")
 
     def __init__(self, pos: dict[int, int], sigma: list[list[int]], rows: list[list[set]]):
         self.pos = pos
         self.sigma = sigma
         self.rows = rows
-        self.own: dict[int, int] = {}
-        self.joins: dict[int, int] = {}
+        self.paid: dict[int, int] = {}
 
     def entry(self, links: dict[int, int]) -> tuple[list[int], list[set]]:
         """Geodesic counts to every member from an outside node with these
@@ -354,8 +353,7 @@ class _BlockTable:
         sigma.append(si + [1])
         rows.append(level)
         self.pos[i] = q
-        self.own.clear()
-        self.joins.clear()
+        self.paid.clear()
 
     def shrink(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the coalition less the node, in
@@ -416,8 +414,7 @@ class _BlockTable:
                 rows[s], sigma[s] = _buckets(ds), ss
                 for row, c in zip(sigma, ss):
                     row[s] = c
-        self.own.clear()
-        self.joins.clear()
+        self.paid.clear()
 
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
         """A grown copy; this table is left as it is."""

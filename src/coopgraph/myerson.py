@@ -12,12 +12,14 @@ the table node_path_counts reads). From it:
 
 * a member i's payoff counts, per length k, the geodesics of the block
   that contain i (multigraph._containment; for a pair s, t only the
-  bucket at d(s, i) + d(i, t) is read). It is remembered per (block,
-  node);
+  bucket at d(s, i) + d(i, t) is read);
 * a node i joining block T needs no table of T + {i}: its distances and
   counts come from its neighbours' rows in T. In a block it has no link
   to, or a fresh one, i is isolated and paid 0, never more than now:
   dynamics and the external check value only the blocks i links to.
+
+MyersonModel.payoff serves both and remembers each value per (block,
+node) in the table's paid dict, until the table changes.
 
 A table has one lifecycle: it is searched on a miss, grown in place when
 better response accepts a join into its block, shrunk in place when it
@@ -32,7 +34,8 @@ node_path_counts, which counts on a table of its own with the same
 algorithm.
 
 The game has no potential, so dynamics run on partition.settle with a
-canonical-form cycle key, joined from one kept string per block.
+cycle key: the sorted tuple of each block's sorted members, one tuple
+kept per block.
 """
 
 from __future__ import annotations
@@ -58,10 +61,7 @@ from .partition import (
     Partition,
     Schedule,
     Trace,
-    TraceStep,
     _check_move,
-    _escape,
-    _logged_steps,
     nash_scan,
     run_schedule,
 )
@@ -79,7 +79,7 @@ class CharPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -123,7 +123,7 @@ class CharPoly:
         return CharPoly(-c for c in self._coeffs)
 
     def __mul__(self, scalar) -> "CharPoly":
-        q = Fraction(scalar)
+        q = _exact(scalar, "scalar")
         return CharPoly(c * q for c in self._coeffs)
 
     __rmul__ = __mul__
@@ -178,7 +178,7 @@ def myerson_allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, Cha
     """Myerson payoff of every coalition member, computed on the induced
     subgraph: a node containing a^i_k length-k geodesics receives
     a^i_k / (k+1) r^k. Per component the payoffs sum to the component's
-    worth. The polynomials do not depend on r; MyersonModel.value gives
+    worth. The polynomials do not depend on r; MyersonModel.payoff gives
     one member's payoff at a bound r, as a scaled integer."""
     profile = node_path_counts(g, coalition)
     return {
@@ -314,24 +314,20 @@ class MyersonModel:
         w = self.weights
         return sum(c * w[k] for k, c in enumerate(counts) if c)
 
-    def value(self, block: frozenset, node: str) -> int:
-        """den times the member's payoff inside its block."""
+    def payoff(self, block: frozenset, node: str) -> int:
+        """den times the node's payoff in the block joined by the node: a
+        member's from its own row, an outsider's from its links into the
+        block."""
         t = self.table(block)
         i = self.g.index_of(node)
-        v = t.own.get(i)
+        v = t.paid.get(i)
         if v is None:
-            a = t.pos[i]
-            v = t.own[i] = self._scaled(_containment(t.rows, t.sigma[a], t.rows[a], _through))
-        return v
-
-    def join_value(self, block: frozenset, node: str) -> int:
-        """den times the payoff of a non-member after joining the block,
-        from the block's table and the node's links into it."""
-        t = self.table(block)
-        i = self.g.index_of(node)
-        v = t.joins.get(i)
-        if v is None:
-            v = t.joins[i] = self._scaled(_containment(t.rows, *t.entry(self.g.adjacency[i])))
+            a = t.pos.get(i)
+            if a is None:
+                counts = _containment(t.rows, *t.entry(self.g.adjacency[i]))
+            else:
+                counts = _containment(t.rows, t.sigma[a], t.rows[a], _through)
+            v = t.paid[i] = self._scaled(counts)
         return v
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
@@ -340,10 +336,10 @@ class MyersonModel:
         pays zero. Raises PartitionError for a node outside its source
         block or a missing target block."""
         _check_move(p, mv)
-        now = self.value(p.blocks[mv.source], mv.node)
+        now = self.payoff(p.blocks[mv.source], mv.node)
         if mv.is_fresh:
             return Fraction(-now, self.den)
-        return Fraction(self.join_value(p.blocks[mv.target], mv.node) - now, self.den)
+        return Fraction(self.payoff(p.blocks[mv.target], mv.node) - now, self.den)
 
     def better_response(self, start: Partition, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
         start.check_cover(self.g.labels)
@@ -364,13 +360,13 @@ class MyersonModel:
             for k, gain in state.deviations(node):
                 if gain <= 0:
                     continue
-                # block's table is cached by join_value; the joined block's
-                # grows from a copy of it, so neither is searched again.
+                # block's table is cached by the node's payoff; the joined
+                # block's grows from a copy of it, so neither is searched again.
                 block = p.blocks[k]
                 joined = block | {node}
                 if joined not in self.tables:
                     self.tables[joined] = self.table(block).grown(self.g, node)
-                if not any(self.value(joined, j) < self.value(block, j) for j in block):
+                if not any(self.payoff(joined, j) < self.payoff(block, j) for j in block):
                     return False, (node, k)
         return True, None
 
@@ -379,22 +375,17 @@ class _MyersonState:
     """The blocks for settle, numbered as apply_move numbers them.
     Gains are scaled integers, in the log too. An accepted join grows the
     target's table in place and shrinks the source's, or drops it with a
-    singleton source. keys holds each block's least member and its text
-    in canonical_form, kept for the two blocks a move changes."""
+    singleton source. keys holds each block's sorted members, rebuilt for
+    the two blocks a move changes; sorted, they key the partition."""
 
     def __init__(self, model: MyersonModel, p: Partition):
         self.model = model
+        self.den = model.den
         self.blocks = list(p.blocks)
         self.block_of = {u: k for k, block in enumerate(self.blocks) for u in block}
         self.nodes = sorted(self.block_of)
-        # canonical_form escapes every label when one of them needs it.
-        self.escape = any(_escape(u) != u for u in self.nodes)
-        self.keys = [self._key(block) for block in self.blocks]
+        self.keys = [tuple(sorted(block)) for block in self.blocks]
         self.log: list[tuple] = []
-
-    def _key(self, block: frozenset) -> tuple[str, str]:
-        members = sorted(block)
-        return members[0], ",".join(map(_escape, members) if self.escape else members)
 
     def deviations(self, node: str):
         model, blocks, block_of = self.model, self.blocks, self.block_of
@@ -403,9 +394,9 @@ class _MyersonState:
         # Only the blocks the node links to, by position: no other move
         # pays it more than 0 (see the module docstring).
         linked = sorted({block_of[g.labels[j]] for j in g.adjacency[g.index_of(node)]} - {s})
-        now = model.value(blocks[s], node) if linked else 0
+        now = model.payoff(blocks[s], node) if linked else 0
         for k in linked:
-            yield k, model.join_value(blocks[k], node) - now
+            yield k, model.payoff(blocks[k], node) - now
 
     def move(self, node: str, target: int) -> Move:
         return Move(node, self.block_of[node], target)
@@ -419,22 +410,19 @@ class _MyersonState:
         t.grow(model.g, node)
         blocks[target] |= {node}
         model.tables[blocks[target]] = t
-        keys[target] = self._key(blocks[target])
+        keys[target] = tuple(sorted(blocks[target]))
         self.block_of[node] = target
         if len(source) > 1:
             table.shrink(model.g, node)
             blocks[s] = source - {node}
             model.tables[blocks[s]] = table
-            keys[s] = self._key(blocks[s])
+            keys[s] = tuple(sorted(blocks[s]))
         else:
             del blocks[s], keys[s]
             self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
 
-    def steps(self) -> tuple[TraceStep, ...]:
-        return _logged_steps(self.log, self.model.den)
-
-    def cycle_key(self) -> bytes:
-        return "|".join(text for _, text in sorted(self.keys)).encode("utf-8")
+    def cycle_key(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(sorted(self.keys))
 
     def partition(self) -> Partition:
         return Partition(self.blocks)

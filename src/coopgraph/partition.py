@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Protocol
 
 from .errors import PartitionError
 
@@ -188,8 +188,9 @@ class Schedule:
 
     Policies: round-robin (nodes in label order, first improving move),
     random (per-pass node order drawn from the seed), greedy (best gain
-    over all node-move pairs each step). max_steps None lets the runner
-    default to 1000 * n accepted moves.
+    over all node-move pairs each step). seed is an int; max_steps is a
+    positive int, or None to let the runner default to 1000 * n accepted
+    moves. Bools are neither.
     """
 
     policy: str = ROUND_ROBIN
@@ -199,6 +200,11 @@ class Schedule:
     def __post_init__(self):
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {_POLICIES}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        steps = self.max_steps
+        if steps is not None and (isinstance(steps, bool) or not isinstance(steps, int) or steps < 1):
+            raise PartitionError(f"max_steps must be None or a positive int, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -225,22 +231,27 @@ class DynamicsState(Protocol):
 
     nodes lists the nodes in visiting order (label order). deviations
     yields (handle, gain) for the deviations of a node, lazily and in
-    enumerate_deviations order, and may skip any that cannot gain.
-    accept applies one, logs (node label, source, target, gain) and
-    returns nothing; steps() builds the trace steps from the log, only
-    when a trace is asked for. cycle_key is the current partition's
-    canonical form, or None where a potential rules out cycles.
+    enumerate_deviations order, and may skip any that cannot gain; gains
+    are exact, den times the mover's payoff change. accept applies one
+    and appends (node label, source, target, gain) to log; run_schedule
+    builds the trace from log and den, only when a trace is asked for.
+    move(node, handle) names a deviation as a Move on the current
+    partition, for nash_scan (_CallbackState, never scanned, has none).
+    cycle_key is a hashable key, equal for two partitions iff they are
+    equal, or None where a potential rules out cycles.
     """
 
     nodes: list
+    log: list
+    den: int
 
     def deviations(self, node) -> Iterator[tuple[object, object]]: ...
 
     def accept(self, node, handle, gain) -> None: ...
 
-    def steps(self) -> tuple[TraceStep, ...]: ...
+    def move(self, node, handle) -> Move: ...
 
-    def cycle_key(self) -> Optional[bytes]: ...
+    def cycle_key(self) -> Optional[Hashable]: ...
 
     def partition(self) -> Partition: ...
 
@@ -259,8 +270,6 @@ def settle(state: DynamicsState, schedule: Schedule = Schedule()) -> str:
     when a previously seen partition reappears (possible only for payoffs
     without a potential), or CapReached after max_steps accepted moves.
     """
-    if schedule.max_steps is not None and schedule.max_steps <= 0:
-        raise PartitionError("max_steps must be positive")
     nodes = state.nodes
     cap = schedule.max_steps if schedule.max_steps is not None else 1000 * max(len(nodes), 1)
     rng = random.Random(schedule.seed)
@@ -310,14 +319,12 @@ def settle(state: DynamicsState, schedule: Schedule = Schedule()) -> str:
 
 
 def run_schedule(state: DynamicsState, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
-    """settle, then the final partition and the trace of the run."""
+    """settle, then the final partition and the trace of the run, built
+    from the state's log with exact gains gain / den."""
     status = settle(state, schedule)
-    return state.partition(), Trace(state.steps(), status)
-
-
-def _logged_steps(log, den) -> tuple[TraceStep, ...]:
-    # Trace steps of a state's log, with exact gains gain / den.
-    return tuple(TraceStep(Move(node, s, t), Fraction(gain, den)) for node, s, t, gain in log)
+    den = state.den
+    steps = tuple(TraceStep(Move(node, s, t), Fraction(gain, den)) for node, s, t, gain in state.log)
+    return state.partition(), Trace(steps, status)
 
 
 def nash_scan(state) -> tuple[bool, Optional[Move]]:
@@ -340,6 +347,7 @@ class _CallbackState:
         self.p = start
         self.nodes = sorted(start.nodes)
         self.log: list[tuple] = []
+        self.den = 1
 
     def deviations(self, node):
         p = self.p
@@ -349,9 +357,6 @@ class _CallbackState:
     def accept(self, node, mv: Move, gain) -> None:
         self.p = apply_move(self.p, mv)
         self.log.append((node, mv.source, mv.target, gain))
-
-    def steps(self) -> tuple[TraceStep, ...]:
-        return _logged_steps(self.log, 1)
 
     def cycle_key(self) -> bytes:
         return canonical_form(self.p)

@@ -405,7 +405,8 @@ class TestAlphaSweep:
 
         for module in (hedonic, partition):
             monkeypatch.setattr(module, "Move", refuse)
-            monkeypatch.setattr(module, "TraceStep", refuse)
+        # partition.run_schedule is the only builder of trace steps.
+        monkeypatch.setattr(partition, "TraceStep", refuse)
         assert alpha_sweep(g, starts=starts, grid=grid, alpha_range=(lo, hi)) == expected
 
 
@@ -514,13 +515,22 @@ class TestBoundaryValidation:
             (lambda x: alpha_sweep(Multigraph([("u", "v")]), alpha_range=(0, x), grid=2), 0.9, Fraction(9, 10)),
             (lambda x: alpha_sweep(Multigraph([("u", "v")]), grid=x), 2.5, 2),
             (lambda x: alpha_sweep(Multigraph([("u", "v")]), grid=x), True, 1),
+            (lambda x: CharPoly([x]).coefficient(1), 0.1, "1/10"),
+            (lambda x: (CharPoly([1]) * x).coefficient(1), 0.1, "1/10"),
+            (lambda x: AlphaModel(x).alpha, True, 1),
+            (lambda x: Modularity(gamma=x).gamma, True, 1),
+            (lambda x: MyersonModel.bind(Multigraph([("u", "v")]), x).den, True, 1),
+            (lambda x: alpha_sweep(Multigraph([("u", "v")]), alpha_range=(x, 1), grid=2), False, 0),
         ],
-        ids=["alpha", "gamma", "beta", "r", "evaluate-r", "range-lo", "range-hi", "grid-float", "grid-bool"],
+        ids=[
+            "alpha", "gamma", "beta", "r", "evaluate-r", "range-lo", "range-hi", "grid-float", "grid-bool",
+            "coefficient", "scalar", "alpha-bool", "gamma-bool", "r-bool", "range-bool",
+        ],
     )
     def test_floats_and_inexact_grids_are_refused(self, call, bad, good):
         # A float would enter as its binary fraction (0.1 as
-        # 3602879701896397/36028797018963968); ints, Fractions and "p/q"
-        # strings are exact and stay accepted.
+        # 3602879701896397/36028797018963968), and a bool as 0 or 1; ints,
+        # Fractions and "p/q" strings are exact and stay accepted.
         call(good)
         with pytest.raises(ValueError, match="float|int"):
             call(bad)

@@ -334,13 +334,14 @@ def test_shrinking_splits_and_empties_a_block(edges, leaving):
     g = parse_edge_list(edges)
     block = frozenset(g.labels)
     table = _block_table(g, block)
-    table.own[0] = table.joins[0] = 1
     for node in leaving:
+        # Payoffs remembered for every member and every node that has left.
+        table.paid.update(dict.fromkeys(range(g.n), 1))
         table.shrink(g, node)
         block -= {node}
         assert_same_table(table, _block_table(g, block))
         assert_buckets_partition_the_members(table)
-        assert not table.own and not table.joins
+        assert not table.paid
     assert len(block) == len(table.rows) >= 1
 
 
@@ -364,15 +365,22 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
 
 class CheckedState(myerson._MyersonState):
     """The dynamics state, checking each cycle key it hands out against
-    canonical_form of its partition."""
+    the sorted members of its partition's sorted blocks, and checking
+    that keys and canonical forms tell the same partitions apart."""
 
     def __init__(self, model, p):
         super().__init__(model, p)
         self.checked = 0
+        self.forms = {}
+        self.keys_of = {}
 
     def cycle_key(self):
         key = super().cycle_key()
-        assert key == canonical_form(self.partition())
+        p = self.partition()
+        assert key == tuple(sorted(tuple(sorted(b)) for b in p.blocks))
+        form = canonical_form(p)
+        assert self.forms.setdefault(key, form) == form
+        assert self.keys_of.setdefault(form, key) == key
         self.checked += 1
         return key
 
@@ -390,8 +398,9 @@ class RestlessState(CheckedState):
 @given(st.data())
 def test_the_cycle_key_is_the_canonical_form_after_every_move(data):
     # Labels with commas, bars or backslashes make canonical_form escape
-    # every label; run_schedule asks for a key at the start and after
-    # every accepted move. The restless state runs into cycles.
+    # every label, and must not make two partitions share a key;
+    # run_schedule asks for a key at the start and after every accepted
+    # move. The restless state runs into cycles.
     alphabet = data.draw(st.sampled_from([None, "ab,", "a|\\", "ab,|\\"]))
     g = data.draw(graphs(max_nodes=7, alphabet=alphabet))
     p = data.draw(partitions(g))

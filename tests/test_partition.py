@@ -225,6 +225,18 @@ class TestRunDynamics:
         with pytest.raises(PartitionError, match="positive"):
             run_dynamics(_pair_payoff([]), Partition.singletons("AB"), Schedule(max_steps=0))
 
+    @pytest.mark.parametrize("steps", [2.5, True, -1, "3"])
+    def test_max_steps_must_be_a_positive_int(self, steps):
+        # A float cap of 2.5 would let a run accept 3 moves, and True
+        # would pass as a cap of 1.
+        with pytest.raises(PartitionError, match="positive"):
+            Schedule(max_steps=steps)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            Schedule(seed=seed)
+
     def test_cap_reached(self):
         payoff = _pair_payoff([("A", "B"), ("B", "C"), ("A", "C")])
         final, trace = run_dynamics(
