@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .datasets import dataset_info, dataset_names, load_dataset
-from .errors import SizeGateError
+from .errors import _INTEGER_RE, SizeGateError
 from .hedonic import (
     AlphaModel,
     Modularity,
@@ -282,10 +282,17 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    # Read as edge-list multiplicities are: int() would also take "1_0".
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _add_schedule_flags(sub) -> None:
     sub.add_argument("--schedule", choices=sorted(_POLICIES), default=ROUND_ROBIN)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-steps", type=int, default=None)
+    sub.add_argument("--seed", type=_integer, default=0)
+    sub.add_argument("--max-steps", type=_integer, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="alpha sweep table")
     sw.add_argument("--graph", required=True)
     sw.add_argument("--starts", nargs="*", default=[])
-    sw.add_argument("--grid", type=int, default=20)
+    sw.add_argument("--grid", type=_integer, default=20)
     sw.add_argument("--out")
     sw.set_defaults(func=_cmd_sweep)
 

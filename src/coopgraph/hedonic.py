@@ -27,10 +27,11 @@ Moving node i from block S to block T (or a fresh block) then gains
 
 where A_iX sums a_ij over i's neighbours in X and C_X sums c over X: the
 local-move gain of Louvain (Blondel et al. 2008) in integers, O(deg i)
-to gather the link sums and O(1) per target block. The potential is a
-sum of pair values, so a move changes it by exactly the mover's gain
-(Monderer & Shapley 1996): a trace's gains sum to the potential's rise,
-and better response never computes the potential.
+to gather the link sums and O(1) per target block, on partition's
+_IndexState with c as block weights. The potential is a sum of pair
+values, so a move changes it by exactly the mover's gain (Monderer &
+Shapley 1996): a trace's gains sum to the potential's rise, and better
+response never computes the potential.
 
 Everything is exact: gains and potentials are integers over den, and a
 Fraction is built only where a value leaves the engine (a trace step,
@@ -54,6 +55,7 @@ from .partition import (
     Schedule,
     Trace,
     _check_move,
+    _IndexState,
     canonical_form,
     nash_scan,
     run_schedule,
@@ -215,30 +217,14 @@ def _alpha_scalars(alpha: Fraction) -> dict:
     return {"lam": alpha.denominator, "kap": alpha.numerator, "den": alpha.denominator}
 
 
-class _BlockState:
-    """Index-array partition state for settle.
-
-    block[i] is the position of node i's block, numbered as apply_move
-    numbers them (an emptied block is dropped and later positions shift
-    down; a fresh block is appended); size and total hold each block's
-    member count and sum of c. Gains stay scaled integers, in the log
-    too. The potential rises by the gain at every accepted move, so no
-    partition can repeat and no cycle key is kept.
-    """
+class _BlockState(_IndexState):
+    """The shared state with c as block weights. The potential rises by the
+    gain at every accepted move, so no partition can repeat and no cycle
+    key is kept."""
 
     def __init__(self, model: HedonicModel, p: Partition):
-        labels = model.g.labels
+        super().__init__(model.g.labels, model._index_blocks(p), model.c, model.den)
         self.model = model
-        self.block = [0] * len(labels)
-        index_blocks = model._index_blocks(p)
-        for k, members in enumerate(index_blocks):
-            for i in members:
-                self.block[i] = k
-        self.size = [len(members) for members in index_blocks]
-        self.total = [sum(model.c[i] for i in members) for members in index_blocks]
-        self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
-        self.log: list[tuple] = []
-        self.den = model.den
 
     def deviations(self, i: int):
         """(target, scaled gain) per deviation of node i that can gain: other
@@ -261,35 +247,6 @@ class _BlockState:
                 yield t, leave + lam * links.get(t, 0) - kc * total[t]
         if leave > 0:
             yield None, leave
-
-    def move(self, i: int, target: Optional[int]) -> Move:
-        return Move(self.model.g.labels[i], self.block[i], target)
-
-    def accept(self, i: int, target: Optional[int], gain: int) -> None:
-        block, size, total = self.block, self.size, self.total
-        s, ci = block[i], self.model.c[i]
-        self.log.append((self.model.g.labels[i], s, target, gain))
-        if target is None:
-            target = len(size)
-            size.append(0)
-            total.append(0)
-        size[s] -= 1
-        total[s] -= ci
-        size[target] += 1
-        total[target] += ci
-        block[i] = target
-        if size[s] == 0:
-            del size[s], total[s]
-            block[:] = [b - (b > s) for b in block]
-
-    def cycle_key(self) -> None:
-        return None
-
-    def partition(self) -> Partition:
-        blocks: list[list[str]] = [[] for _ in self.size]
-        for label, b in zip(self.model.g.labels, self.block):
-            blocks[b].append(label)
-        return Partition(blocks)
 
 
 def pair_value(vf: ValueFunction, g: Multigraph, u: str, v: str) -> Fraction:

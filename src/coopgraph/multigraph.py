@@ -16,12 +16,11 @@ use; the Myerson model keeps one table per live block.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import EdgeListError
+from .errors import _INTEGER_RE, EdgeListError
 
 
 class Multigraph:
@@ -52,6 +51,9 @@ class Multigraph:
         adj: dict[int, dict[int, int]] = {}
         pair_order: list[tuple[int, int]] = []
         for edge in edges:
+            # A 2-character string would unpack as (u, v).
+            if not isinstance(edge, (tuple, list)) or len(edge) not in (2, 3):
+                raise ValueError(f"edge must be a tuple or list (u, v) or (u, v, w), got {edge!r}")
             if len(edge) == 2:
                 (u, v), w = edge, 1
             else:
@@ -153,8 +155,7 @@ def parse_edge_list(text: bytes | str) -> Multigraph:
         u, v = parts[0], parts[1]
         w = 1
         if len(parts) == 3:
-            # ASCII digits only: int() would also read "1_0" and other scripts' digits.
-            if not re.fullmatch(r"[+-]?[0-9]+", parts[2]):
+            if not _INTEGER_RE.fullmatch(parts[2]):
                 raise EdgeListError(f"multiplicity is not an integer: {parts[2]!r}", line=lineno)
             w = int(parts[2])
             if w <= 0:

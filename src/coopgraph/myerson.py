@@ -34,8 +34,8 @@ node_path_counts, which counts on a table of its own with the same
 algorithm.
 
 The game has no potential, so dynamics run on partition.settle with a
-cycle key: the sorted tuple of each block's sorted members, one tuple
-kept per block.
+cycle key: the block positions of partition._IndexState renumbered by
+first occurrence in graph-index order.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .partition import (
     Schedule,
     Trace,
     _check_move,
+    _IndexState,
     nash_scan,
     run_schedule,
 )
@@ -356,8 +357,9 @@ class MyersonModel:
         positive-gain deviations that dynamics and nash_stable walk."""
         p.check_cover(self.g.labels)
         state = _MyersonState(self, p)
-        for node in state.nodes:
-            for k, gain in state.deviations(node):
+        for i in state.nodes:
+            node = state.labels[i]
+            for k, gain in state.deviations(i):
                 if gain <= 0:
                     continue
                 # block's table is cached by the node's payoff; the joined
@@ -371,61 +373,48 @@ class MyersonModel:
         return True, None
 
 
-class _MyersonState:
-    """The blocks for settle, numbered as apply_move numbers them.
-    Gains are scaled integers, in the log too. An accepted join grows the
-    target's table in place and shrinks the source's, or drops it with a
-    singleton source. keys holds each block's sorted members, rebuilt for
-    the two blocks a move changes; sorted, they key the partition."""
+class _MyersonState(_IndexState):
+    """The shared state with unit weights, plus blocks, each block's label
+    frozenset, which keys its table. An accepted join grows the target's
+    table in place and shrinks the source's, or drops it with a
+    singleton source."""
 
     def __init__(self, model: MyersonModel, p: Partition):
-        self.model = model
-        self.den = model.den
-        self.blocks = list(p.blocks)
-        self.block_of = {u: k for k, block in enumerate(self.blocks) for u in block}
-        self.nodes = sorted(self.block_of)
-        self.keys = [tuple(sorted(block)) for block in self.blocks]
-        self.log: list[tuple] = []
-
-    def deviations(self, node: str):
-        model, blocks, block_of = self.model, self.blocks, self.block_of
         g = model.g
-        s = block_of[node]
+        super().__init__(g.labels, [[g.index_of(u) for u in b] for b in p.blocks], (1,) * g.n, model.den)
+        self.model = model
+        self.blocks = list(p.blocks)
+
+    def deviations(self, i: int):
+        model, blocks, block, node = self.model, self.blocks, self.block, self.labels[i]
+        s = block[i]
         # Only the blocks the node links to, by position: no other move
         # pays it more than 0 (see the module docstring).
-        linked = sorted({block_of[g.labels[j]] for j in g.adjacency[g.index_of(node)]} - {s})
+        linked = sorted({block[j] for j in model.g.adjacency[i]} - {s})
         now = model.payoff(blocks[s], node) if linked else 0
         for k in linked:
             yield k, model.payoff(blocks[k], node) - now
 
-    def move(self, node: str, target: int) -> Move:
-        return Move(node, self.block_of[node], target)
-
-    def accept(self, node: str, target: int, gain: int) -> None:
-        model, blocks, keys, s = self.model, self.blocks, self.keys, self.block_of[node]
-        self.log.append((node, s, target, gain))
+    def accept(self, i: int, target: int, gain: int) -> None:
+        model, blocks, node, s = self.model, self.blocks, self.labels[i], self.block[i]
         source = blocks[s]
         table = model.tables.pop(source)
         t = model.tables.pop(blocks[target])
         t.grow(model.g, node)
         blocks[target] |= {node}
         model.tables[blocks[target]] = t
-        keys[target] = tuple(sorted(blocks[target]))
-        self.block_of[node] = target
         if len(source) > 1:
             table.shrink(model.g, node)
             blocks[s] = source - {node}
             model.tables[blocks[s]] = table
-            keys[s] = tuple(sorted(blocks[s]))
         else:
-            del blocks[s], keys[s]
-            self.block_of = {u: k - (k > s) for u, k in self.block_of.items()}
+            del blocks[s]
+        super().accept(i, target, gain)
 
-    def cycle_key(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(sorted(self.keys))
-
-    def partition(self) -> Partition:
-        return Partition(self.blocks)
+    def cycle_key(self) -> tuple[int, ...]:
+        # A restricted growth string: equal exactly when the partitions are.
+        first: dict[int, int] = {}
+        return tuple([first.setdefault(b, len(first)) for b in self.block])
 
 
 def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:

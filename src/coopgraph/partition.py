@@ -6,9 +6,9 @@ that cannot be positive), accepts a move only on strictly positive
 gain, and returns how it stopped (Stable, CycleDetected or CapReached).
 The state logs accepted moves as plain numbers; run_schedule builds the
 trace from the log. run_dynamics adapts a payoff callback to it; the
-hedonic and Myerson engines supply their own states, and nash_scan
-finds the first improving deviation of any state. Potential games stop
-Stable.
+hedonic and Myerson engines share one index-array state, _IndexState,
+and nash_scan finds the first improving deviation of any state.
+Potential games stop Stable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Protocol
 
-from .errors import PartitionError
+from .errors import PartitionError, _exact
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "random"
@@ -229,8 +229,9 @@ PayoffFn = Callable[[Partition, Move], Fraction]
 class DynamicsState(Protocol):
     """Mutable partition state driven by settle.
 
-    nodes lists the nodes in visiting order (label order). deviations
-    yields (handle, gain) for the deviations of a node, lazily and in
+    nodes lists the nodes in label order, as labels for _CallbackState
+    and graph indices for the engines' _IndexState. deviations yields
+    (handle, gain) for the deviations of a node, lazily and in
     enumerate_deviations order, and may skip any that cannot gain; gains
     are exact, den times the mover's payoff change. accept applies one
     and appends (node label, source, target, gain) to log; run_schedule
@@ -338,6 +339,55 @@ def nash_scan(state) -> tuple[bool, Optional[Move]]:
     return True, None
 
 
+class _IndexState:
+    """The engines' DynamicsState less deviations, over graph indices.
+
+    block[i] is the position of node i's block, numbered as apply_move
+    numbers them (an emptied block is dropped and later positions shift
+    down; a fresh block is appended); size and total hold each block's
+    member count and sum of weight. Gains stay scaled integers, in the
+    log too. A game without a potential overrides cycle_key.
+    """
+
+    def __init__(self, labels, blocks, weight, den: int):
+        self.labels, self.weight, self.den = labels, weight, den
+        position = {i: k for k, members in enumerate(blocks) for i in members}
+        self.block = [position[i] for i in range(len(labels))]
+        self.size = [len(members) for members in blocks]
+        self.total = [sum(weight[i] for i in members) for members in blocks]
+        self.nodes = sorted(range(len(labels)), key=labels.__getitem__)
+        self.log: list[tuple] = []
+
+    def move(self, i: int, target: Optional[int]) -> Move:
+        return Move(self.labels[i], self.block[i], target)
+
+    def accept(self, i: int, target: Optional[int], gain: int) -> None:
+        block, size, total = self.block, self.size, self.total
+        s, w = block[i], self.weight[i]
+        self.log.append((self.labels[i], s, target, gain))
+        if target is None:
+            target = len(size)
+            size.append(0)
+            total.append(0)
+        size[s] -= 1
+        total[s] -= w
+        size[target] += 1
+        total[target] += w
+        block[i] = target
+        if size[s] == 0:
+            del size[s], total[s]
+            block[:] = [b - (b > s) for b in block]
+
+    def cycle_key(self) -> None:
+        return None
+
+    def partition(self) -> Partition:
+        blocks: list[list[str]] = [[] for _ in self.size]
+        for label, b in zip(self.labels, self.block):
+            blocks[b].append(label)
+        return Partition(blocks)
+
+
 class _CallbackState:
     """Immutable Partition values advanced by apply_move, with gains from a
     payoff callback."""
@@ -352,7 +402,7 @@ class _CallbackState:
     def deviations(self, node):
         p = self.p
         for mv in enumerate_deviations(p, node):
-            yield mv, self.payoff(p, mv)
+            yield mv, _exact(self.payoff(p, mv), "gain")
 
     def accept(self, node, mv: Move, gain) -> None:
         self.p = apply_move(self.p, mv)
@@ -370,9 +420,10 @@ def run_dynamics(
 ) -> tuple[Partition, Trace]:
     """run_schedule with gains from a payoff callback.
 
-    payoff(partition, move) must return an exact comparable gain; the
-    trace records each accepted move with it. Every accepted partition is
-    kept for cycle detection, since a callback need not come from a
-    potential.
+    payoff(partition, move) must return an exact gain, an int, a Fraction
+    or a "p/q" string; a float or bool raises ValueError at the first
+    deviation. The trace records each accepted move with its gain. Every
+    accepted partition is kept for cycle detection, since a callback need
+    not come from a potential.
     """
     return run_schedule(_CallbackState(payoff, start), schedule)

@@ -11,16 +11,13 @@ import csv
 import hashlib
 import io
 import json
-import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .errors import _RATIONAL_RE
 from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
 from .partition import Move, Partition, Trace, canonical_form
-
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-
 
 def format_rational(q) -> str:
     q = Fraction(q)
@@ -32,7 +29,7 @@ def format_rational(q) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or integer strings; floats are rejected on purpose."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"expected a rational like '3/4' or '2', got {text!r}")
     return Fraction(text)
 

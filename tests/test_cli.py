@@ -465,6 +465,21 @@ class TestDatasetCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--graph", "example1", "--grid", "\u0662"),
+            ("partition", "hedonic", "--graph", "example1", "--alpha", "1/5", "--init", "singletons", "--seed", "1_0"),
+            ("partition", "myerson", "--graph", "example1", "--r", "1/2", "--init", "singletons", "--max-steps", "1_0"),
+        ],
+        ids=["grid-arabic-indic", "seed-underscore", "max-steps-underscore"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        # int() would read the first as 2 and the others as 10.
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "ASCII digits" in err
+
     def test_size_gate_maps_to_exit_3(self, capsys, monkeypatch):
         from coopgraph import SizeGateError
         import coopgraph.cli as cli

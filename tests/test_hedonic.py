@@ -521,16 +521,29 @@ class TestBoundaryValidation:
             (lambda x: Modularity(gamma=x).gamma, True, 1),
             (lambda x: MyersonModel.bind(Multigraph([("u", "v")]), x).den, True, 1),
             (lambda x: alpha_sweep(Multigraph([("u", "v")]), alpha_range=(x, 1), grid=2), False, 0),
+            (lambda x: partition.run_dynamics(lambda p, mv: x if not mv.is_fresh else -1, Partition.singletons("AB")), 0.5, Fraction(1, 2)),
+            (lambda x: partition.run_dynamics(lambda p, mv: x if not mv.is_fresh else -1, Partition.singletons("AB")), True, 1),
+            (lambda x: AlphaModel(x).alpha, "0.1", "1/10"),
+            (lambda x: Modularity(gamma=x).gamma, "1_0/3", " 10/3 "),
+            (lambda x: MyersonModel.bind(Multigraph([("u", "v")]), x).den, "1_0/20", "10/20"),
+            (lambda x: CharPoly([x]).coefficient(1), "1e-1", "1/10"),
+            (lambda x: AlphaModel(x).alpha, "\u0661/2", "1/2"),
         ],
         ids=[
             "alpha", "gamma", "beta", "r", "evaluate-r", "range-lo", "range-hi", "grid-float", "grid-bool",
             "coefficient", "scalar", "alpha-bool", "gamma-bool", "r-bool", "range-bool",
+            "callback-float", "callback-bool", "alpha-decimal", "gamma-underscore", "r-underscore",
+            "coefficient-exponent", "alpha-arabic-indic",
         ],
     )
     def test_floats_and_inexact_grids_are_refused(self, call, bad, good):
         # A float would enter as its binary fraction (0.1 as
         # 3602879701896397/36028797018963968), and a bool as 0 or 1; ints,
-        # Fractions and "p/q" strings are exact and stay accepted.
+        # Fractions and "p/q" strings are exact and stay accepted. A
+        # string is read only as "p/q" in ASCII digits, as the CLI reads
+        # it: Fraction() alone would take "0.1", "1_0/3", "1e-1" and other
+        # scripts' digits. A payoff callback's gains pass the same check
+        # at the first deviation.
         call(good)
         with pytest.raises(ValueError, match="float|int"):
             call(bad)

@@ -161,6 +161,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match="whitespace-free"):
             Multigraph([("a b", "c")])
 
+    @pytest.mark.parametrize("edge", ["ab", ("a", "b", 1, 2), ("a",)], ids=["string", "4-tuple", "1-tuple"])
+    def test_edge_shape_validation(self, edge):
+        # A 2-character string would unpack as the edge a-b.
+        with pytest.raises(ValueError, match=r"\(u, v\) or \(u, v, w\)"):
+            Multigraph([edge])
+
 
 class TestInducedSubgraph:
     def test_example1_triangle(self, example1):

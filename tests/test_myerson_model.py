@@ -172,7 +172,9 @@ def test_the_state_leaves_out_only_deviations_that_cannot_gain(data):
     p = data.draw(partitions(g))
     model = MyersonModel.bind(g, data.draw(DISCOUNTS))
     state = myerson._MyersonState(model, p)
-    assert_skips_only_losing_deviations(p, state.deviations, lambda mv: model.gain(p, mv), model.den)
+    assert_skips_only_losing_deviations(
+        p, lambda node: state.deviations(g.index_of(node)), lambda mv: model.gain(p, mv), model.den
+    )
 
 
 def ref_first_improving(g, p, r):
@@ -365,8 +367,9 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
 
 class CheckedState(myerson._MyersonState):
     """The dynamics state, checking each cycle key it hands out against
-    the sorted members of its partition's sorted blocks, and checking
-    that keys and canonical forms tell the same partitions apart."""
+    its partition's blocks renumbered by first occurrence in graph-index
+    order, and checking that keys and canonical forms tell the same
+    partitions apart."""
 
     def __init__(self, model, p):
         super().__init__(model, p)
@@ -377,7 +380,8 @@ class CheckedState(myerson._MyersonState):
     def cycle_key(self):
         key = super().cycle_key()
         p = self.partition()
-        assert key == tuple(sorted(tuple(sorted(b)) for b in p.blocks))
+        g, first = self.model.g, {}
+        assert key == tuple(first.setdefault(p.block_of(g.labels[i]), len(first)) for i in range(g.n))
         form = canonical_form(p)
         assert self.forms.setdefault(key, form) == form
         assert self.keys_of.setdefault(form, key) == key
