@@ -289,15 +289,19 @@ class _BlockTable:
     rows[a][d] for d >= 1, rows[a][0] the members a cannot reach. paid
     holds the Myerson payoffs already derived, keyed by graph index and
     scaled by the model's denominator: a member's in the coalition, an
-    outsider's in the coalition it would join."""
+    outsider's in the coalition it would join. stash holds the last
+    outsider join computed, (i, si, level, pairs) from join, for a grow
+    by i to read. grow and shrink drop both, and a grown copy starts
+    with neither."""
 
-    __slots__ = ("pos", "sigma", "rows", "paid")
+    __slots__ = ("pos", "sigma", "rows", "paid", "stash")
 
     def __init__(self, pos: dict[int, int], sigma: list[list[int]], rows: list[list[set]]):
         self.pos = pos
         self.sigma = sigma
         self.rows = rows
         self.paid: dict[int, int] = {}
+        self.stash: Optional[tuple] = None
 
     def entry(self, links: dict[int, int]) -> tuple[list[int], list[set]]:
         """Geodesic counts to every member from an outside node with these
@@ -323,15 +327,24 @@ class _BlockTable:
                         si[x] += mult * su[x]
         return si, _buckets(di)
 
+    def join(self, i: int, links: dict[int, int]) -> tuple:
+        """The stash for outside node i with these links: its entry and
+        the pairs _detours finds for it, computed unless already held."""
+        if self.stash is None or self.stash[0] != i:
+            si, level = self.entry(links)
+            self.stash = i, si, level, list(_detours(self.rows, level))
+        return self.stash
+
     def grow(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the coalition plus the node, in
         place: its row and column are appended, and each pair _detours
         finds gains its geodesics through the node, which replace its own
-        when shorter."""
+        when shorter. Entry and pairs come from join, so a stash held for
+        the node is used."""
         i = g.index_of(node)
-        si, level = self.entry(g.adjacency[i])
+        _, si, level, pairs = self.join(i, g.adjacency[i])
         sigma, rows = self.sigma, self.rows
-        for s, a, d, b, near in list(_detours(rows, level)):
+        for s, a, d, b, near in pairs:
             length = a + b
             for t in near:
                 if b == a and t < s:
@@ -355,6 +368,7 @@ class _BlockTable:
         rows.append(level)
         self.pos[i] = q
         self.paid.clear()
+        self.stash = None
 
     def shrink(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the coalition less the node, in
@@ -416,9 +430,11 @@ class _BlockTable:
                 for row, c in zip(sigma, ss):
                     row[s] = c
         self.paid.clear()
+        self.stash = None
 
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
-        """A grown copy; this table is left as it is."""
+        """A grown copy, which does not take the stash; this table is
+        left as it is."""
         rows = [[set(ring) for ring in row] for row in self.rows]
         t = _BlockTable(dict(self.pos), [s[:] for s in self.sigma], rows)
         t.grow(g, node)
@@ -488,14 +504,14 @@ def _through(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
                     yield s, a, a + b, b, near
 
 
-def _containment(rows: list[list[set]], si: list[int], level: list[set], scan=_detours) -> list[int]:
+def _containment(si: list[int], level: list[set], pairs: Iterable[tuple]) -> list[int]:
     # Per length, the geodesics containing node i: sigma(i, t) per member
-    # t and sigma(s, i) sigma(i, t) per pair from scan (_through when i is
-    # a member). Counts are doubled, and a pair met from both ends adds
-    # once from each.
+    # t and sigma(s, i) sigma(i, t) per pair, from _through when i is a
+    # member and _detours otherwise. Counts are doubled, and a pair met
+    # from both ends adds once from each.
     get = si.__getitem__
     counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
-    for s, a, _, b, near in scan(rows, level):
+    for s, a, _, b, near in pairs:
         counts[a + b] += (1 if b == a else 2) * si[s] * sum(map(get, near))
     return [c // 2 for c in counts]
 
@@ -522,6 +538,6 @@ def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile
     length = max(map(len, t.rows)) - 1
     counts = {}
     for v, a in t.pos.items():
-        vec = _containment(t.rows, t.sigma[a], t.rows[a], _through)[1:]
+        vec = _containment(t.sigma[a], t.rows[a], _through(t.rows, t.rows[a]))[1:]
         counts[g.label_of(v)] = tuple(vec[:length]) + (0,) * (length - len(vec))
     return NodePathProfile(counts, length)

@@ -25,7 +25,11 @@ A table has one lifecycle: it is searched on a miss, grown in place when
 better response accepts a join into its block, shrunk in place when it
 accepts a leave from it (a singleton source's table is dropped, so the
 cache holds the live blocks only and a move searches nothing), and
-copied, then grown, when the external check values an entry.
+copied, then grown, when the external check values an entry. An
+outsider's payoff leaves its entry and detour pairs on the table as its
+one stash; the accepted join that follows grows the table from them,
+and any other join computes its own. Growing or shrinking drops the
+stash, and a grown copy starts without one.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
@@ -325,9 +329,9 @@ class MyersonModel:
         if v is None:
             a = t.pos.get(i)
             if a is None:
-                counts = _containment(t.rows, *t.entry(self.g.adjacency[i]))
+                counts = _containment(*t.join(i, self.g.adjacency[i])[1:])
             else:
-                counts = _containment(t.rows, t.sigma[a], t.rows[a], _through)
+                counts = _containment(t.sigma[a], t.rows[a], _through(t.rows, t.rows[a]))
             v = t.paid[i] = self._scaled(counts)
         return v
 

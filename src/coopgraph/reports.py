@@ -14,13 +14,13 @@ import json
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import _RATIONAL_RE
+from .errors import _RATIONAL_RE, _exact
 from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
 from .partition import Move, Partition, Trace, canonical_form
 
 def format_rational(q) -> str:
-    q = Fraction(q)
+    q = _exact(q, "rational")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -40,6 +40,15 @@ class TestRationals:
     def test_format(self):
         assert format_rational(Fraction(2, 57)) == "2/57"
         assert format_rational(Fraction(4)) == "4"
+        assert format_rational(-3) == "-3"
+        assert format_rational("2/4") == "1/2"
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, "0.5", "1e-3"])
+    def test_format_refuses_floats_bools_and_decimal_text(self, bad):
+        # Fraction() alone would print 0.1 as 3602879701896397/36028797018963968
+        # and read "0.5" as 1/2.
+        with pytest.raises(ValueError, match="rational must be"):
+            format_rational(bad)
 
     def test_parse(self):
         assert parse_rational("3/4") == Fraction(3, 4)

@@ -51,7 +51,7 @@ from coopgraph import (
     run_dynamics,
 )
 from coopgraph import myerson
-from coopgraph.multigraph import _detours, _through
+from coopgraph.multigraph import _BlockTable, _detours, _through
 from coopgraph.myerson import _block_table, _containment
 from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
@@ -365,6 +365,82 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
         assert_buckets_partition_the_members(table)
 
 
+def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
+    # Rounds on one table: an outsider x is priced, which leaves its join
+    # on the table as a stash, and a member is priced; a grown copy may
+    # be taken and grown on, the table may change by a grow or a shrink,
+    # then an outsider y grows the table. After each step the table must equal
+    # the search and each payoff the reference. seen records that the
+    # runs cover a grow by another node than the stashed one, a grow by
+    # x after the table changed, and a grown copy taken while a stash is
+    # held.
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        g = data.draw(graphs())
+        assume(g.n >= 3)
+        r = data.draw(DISCOUNTS)
+        model = MyersonModel.bind(g, r)
+        block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 2)))
+        table = model.table(block)
+
+        def outsider():
+            return data.draw(st.sampled_from(sorted(set(g.labels) - block)))
+
+        def price(node):
+            joined = block | {node}
+            assert model.payoff(block, node) == ref_value(g, joined, node, r) * model.den
+
+        def change(node, joined):
+            nonlocal block
+            (table.grow if node in joined else table.shrink)(g, node)
+            model.tables[joined] = model.tables.pop(block)
+            block = joined
+            assert table.stash is None and not table.paid
+            assert_same_table(table, _block_table(g, block))
+
+        for _ in range(data.draw(st.integers(1, 4))):
+            if len(block) == g.n:
+                break
+            x = outsider()
+            price(x)
+            price(data.draw(st.sampled_from(sorted(block))))
+            assert table.stash[0] == g.index_of(x)
+            if data.draw(st.booleans()):
+                # Growing the copy on changes the rows it holds, so a copy
+                # grown by x must not have taken x's stash.
+                stash = table.stash
+                node = x if data.draw(st.booleans()) else outsider()
+                copy = table.grown(g, node)
+                assert table.stash is stash
+                assert_same_table(copy, _block_table(g, block | {node}))
+                assert_same_table(table, _block_table(g, block))
+                rest = sorted(set(g.labels) - block - {node})
+                if rest:
+                    z = data.draw(st.sampled_from(rest))
+                    copy.grow(g, z)
+                    assert_same_table(copy, _block_table(g, block | {node, z}))
+                seen.add("grown")
+            step = data.draw(st.sampled_from(["none", "grow", "shrink"]))
+            if step == "grow" and len(block) < g.n - 1:
+                node = outsider()
+                change(node, block | {node})
+            elif step == "shrink" and len(block) > 1:
+                node = data.draw(st.sampled_from(sorted(block)))
+                change(node, block - {node})
+            y = x if x not in block and data.draw(st.booleans()) else outsider()
+            if table.stash is None and y == x:
+                seen.add("changed")
+            elif table.stash is not None and y != x:
+                seen.add("other node")
+            change(y, block | {y})
+
+    check()
+    assert seen == {"other node", "changed", "grown"}
+
+
 class CheckedState(myerson._MyersonState):
     """The dynamics state, checking each cycle key it hands out against
     its partition's blocks renumbered by first occurrence in graph-index
@@ -456,7 +532,7 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
             scans = [_detours]
         want = reference_containment(all_distances(table), distances(level, len(si)), si)
         for scan in scans:
-            got = _containment(table.rows, si, level, scan)
+            got = _containment(si, level, scan(table.rows, level))
             assert without_trailing_zeros(got) == without_trailing_zeros(want)
 
 
@@ -557,6 +633,41 @@ class TestTableCache:
         assert left > 20
         assert sorted(map(sorted, searched)) == sorted(map(sorted, set(p.blocks) | opened))
         assert set(model.tables) == set(final.blocks)
+
+    @pytest.mark.parametrize(
+        "graph, start, r, most",
+        [
+            ("karate", None, Fraction(1, 2), 60),
+            ("karate", None, Fraction(7, 8), 53),
+            ("planted30", None, Fraction(1, 2), 47),
+            ("planted30", "planted30_split.json", Fraction(1, 2), 56),
+            ("planted30", None, Fraction(7, 8), 47),
+            ("planted30", "planted30_split.json", Fraction(7, 8), 46),
+        ],
+    )
+    def test_an_accepted_join_reuses_the_entry_its_payoff_computed(self, monkeypatch, graph, start, r, most):
+        # The mover's payoff in the target is the last join valued on the
+        # target's table, so grow reads its stash and computes no entry.
+        # most is the number of entries a run makes (with an entry per
+        # grow too, 107, 100, 88, 88, 88 and 78).
+        g = load_dataset("karate") if graph == "karate" else parse_edge_list(PLANTED.read_text())
+        p = Partition.singletons(g.labels)
+        if start is not None:
+            p = partition_from_json((DATA / start).read_text(), universe=g.labels)
+        entries, grown = [], []
+        entry, grow = _BlockTable.entry, _BlockTable.grow
+
+        def watched_grow(t, g, node):
+            before = len(entries)
+            grow(t, g, node)
+            grown.append(len(entries) - before)
+
+        monkeypatch.setattr(_BlockTable, "entry", lambda t, links: entries.append(links) or entry(t, links))
+        monkeypatch.setattr(_BlockTable, "grow", watched_grow)
+        _, trace = MyersonModel.bind(g, r).better_response(p, Schedule(policy=ROUND_ROBIN))
+        assert len(grown) == sum(not step.move.is_fresh for step in trace.steps) > 0
+        assert set(grown) == {0}
+        assert len(entries) <= most
 
     def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
         # The run's last pass valued every deviation from the final
