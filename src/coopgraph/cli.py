@@ -31,9 +31,9 @@ from .hedonic import (
 )
 from .multigraph import Multigraph, parse_edge_list, serialize_edge_list
 from .myerson import (
+    CharPoly,
     MyersonModel,
     _check_r,
-    component_characteristic,
     external_stability_check,
     myerson_allocation,
     myerson_nash_stable,
@@ -189,8 +189,10 @@ def _cmd_myerson_value(args) -> int:
     repeated = [u for u, c in Counter(coalition).items() if c > 1]
     if repeated:
         raise ValueError(f"--coalition lists node {repeated[0]!r} more than once")
-    value = component_characteristic(g, coalition)
     allocation = myerson_allocation(g, coalition)
+    # Per component the payoffs sum to its worth, so the coalition's
+    # worth needs no second table.
+    value = sum(allocation.values(), CharPoly.zero())
     out = {
         "graph": args.graph,
         "coalition": sorted(coalition),
@@ -220,6 +222,8 @@ def _cmd_stability(args) -> int:
             raise ValueError("--model hedonic needs --alpha p/q")
         if args.external:
             raise ValueError("--external applies to the myerson model only")
+        if args.r is not None:
+            raise ValueError("--r applies to the myerson model only")
         vf = AlphaModel(parse_rational(args.alpha))
         stable, witness = nash_stable(vf, g, p)
         out = {
@@ -232,6 +236,8 @@ def _cmd_stability(args) -> int:
     else:
         if args.r is None:
             raise ValueError("--model myerson needs --r p/q")
+        if args.alpha is not None:
+            raise ValueError("--alpha applies to the hedonic model only")
         r = parse_rational(args.r)
         if args.external:
             stable, entry = external_stability_check(g, p, r)

@@ -7,11 +7,14 @@ weight of a longer shortest path is the product of the multiplicities of
 its links.
 
 Paths inside a coalition are counted on one geodesic table per
-coalition (_BlockTable): member positions, geodesic counts and distance
-buckets, from one BFS per member. coalition_path_counts sums its counts
-per distance, and node_path_counts reads each member's containment
-vector from it (_containment), the count the Myerson model's payoffs
-use; the Myerson model keeps one table per live block.
+coalition (_BlockTable): member positions, the links inside the
+coalition, geodesic counts and distance buckets, from one BFS per member
+over those links. Every count is a _bfs over them: a joining node's is
+one BFS from the node, and a shrunk table's rows are searched again.
+coalition_path_counts sums its counts per distance, and node_path_counts
+reads each member's containment vector from it (_containment), the count
+the Myerson model's payoffs use; the Myerson model keeps one table per
+live block.
 """
 
 from __future__ import annotations
@@ -225,10 +228,12 @@ def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
     for v in queue:
         dv, sv = d[v] + 1, s[v]
         for w, mult in adj[v].items():
-            if d[w] < 0:
+            dw = d[w]
+            if dw < 0:
                 d[w] = dv
+                s[w] = sv * mult
                 queue.append(w)
-            if d[w] == dv:
+            elif dw == dv:
                 s[w] += sv * mult
     return d, s
 
@@ -285,65 +290,49 @@ class NodePathProfile:
 
 class _BlockTable:
     """One coalition's member positions (pos maps graph index to row),
-    geodesic counts and distance buckets, its only record of distance:
-    rows[a][d] for d >= 1, rows[a][0] the members a cannot reach. paid
-    holds the Myerson payoffs already derived, keyed by graph index and
-    scaled by the model's denominator: a member's in the coalition, an
-    outsider's in the coalition it would join. stash holds the last
-    outsider join computed, (i, si, level, pairs) from join, for a grow
-    by i to read. grow and shrink drop both, and a grown copy starts
-    with neither."""
+    links (adj[a] maps row to multiplicity), geodesic counts and distance
+    buckets, its only record of distance: rows[a][d] for d >= 1,
+    rows[a][0] the members a cannot reach. paid holds the Myerson payoffs
+    already derived, keyed by graph index and scaled by the model's
+    denominator: a member's in the coalition, an outsider's in the
+    coalition it would join. stash holds the last outsider join
+    computed, (i, si, level, pairs, link) from join, for a grow by i to
+    read. grow and shrink drop both, and a grown copy starts with
+    neither."""
 
-    __slots__ = ("pos", "sigma", "rows", "paid", "stash")
+    __slots__ = ("pos", "adj", "sigma", "rows", "paid", "stash")
 
-    def __init__(self, pos: dict[int, int], sigma: list[list[int]], rows: list[list[set]]):
+    def __init__(self, pos: dict[int, int], adj: list[dict], sigma: list[list[int]], rows: list[list[set]]):
         self.pos = pos
+        self.adj = adj
         self.sigma = sigma
         self.rows = rows
         self.paid: dict[int, int] = {}
         self.stash: Optional[tuple] = None
 
-    def entry(self, links: dict[int, int]) -> tuple[list[int], list[set]]:
-        """Geodesic counts to every member from an outside node with these
-        (graph index -> multiplicity) links, and the members by distance
-        as in rows. A member's distance is one more than its least
-        distance from a linked member (the linked member itself at 0),
-        and its count sums over the linked members attaining it."""
-        pos, sigma, rows = self.pos, self.sigma, self.rows
-        di = [-1] * len(pos)
-        si = [0] * len(pos)
-        for u, mult in links.items():
-            a = pos.get(u)
-            if a is None:
-                continue
-            su = sigma[a]
-            # Bucket d of a's row lies at d + 1; the slot of the members a
-            # cannot reach stands for a itself.
-            for d, ring in enumerate(rows[a], 1):
-                for x in ring if d > 1 else (a,):
-                    if di[x] < 0 or d < di[x]:
-                        di[x], si[x] = d, mult * su[x]
-                    elif d == di[x]:
-                        si[x] += mult * su[x]
-        return si, _buckets(di)
-
     def join(self, i: int, links: dict[int, int]) -> tuple:
-        """The stash for outside node i with these links: its entry and
-        the pairs _detours finds for it, computed unless already held."""
+        """The stash for outside node i with these (graph index ->
+        multiplicity) links, computed unless already held: one BFS from i
+        over the block's links gives its geodesic counts si (i's own, 1,
+        last, as in the row it would take), the members by distance as in
+        rows, the pairs _detours finds for it, and its links by row."""
         if self.stash is None or self.stash[0] != i:
-            si, level = self.entry(links)
-            self.stash = i, si, level, list(_detours(self.rows, level))
+            pos = self.pos
+            link = {pos[u]: mult for u, mult in links.items() if u in pos}
+            d, si = _bfs(self.adj + [link], len(pos))
+            level = _buckets(d)
+            self.stash = i, si, level, list(_detours(self.rows, level)), link
         return self.stash
 
     def grow(self, g: Multigraph, node: str) -> None:
         """Turn this into the table of the coalition plus the node, in
         place: its row and column are appended, and each pair _detours
         finds gains its geodesics through the node, which replace its own
-        when shorter. Entry and pairs come from join, so a stash held for
-        the node is used."""
+        when shorter. Its counts, buckets, pairs and links come from
+        join, so a stash held for the node is used."""
         i = g.index_of(node)
-        _, si, level, pairs = self.join(i, g.adjacency[i])
-        sigma, rows = self.sigma, self.rows
+        _, si, level, pairs, link = self.join(i, g.adjacency[i])
+        sigma, rows, adj = self.sigma, self.rows, self.adj
         for s, a, d, b, near in pairs:
             length = a + b
             for t in near:
@@ -364,8 +353,11 @@ class _BlockTable:
             for t in ring:
                 sigma[t].append(si[t])
                 _file(rows[t], d, q)
-        sigma.append(si + [1])
+        for b, mult in link.items():
+            adj[b][q] = mult
+        sigma.append(si)
         rows.append(level)
+        adj.append(link)
         self.pos[i] = q
         self.paid.clear()
         self.stash = None
@@ -374,10 +366,10 @@ class _BlockTable:
         """Turn this into the table of the coalition less the node, in
         place. Each pair _through finds loses its geodesics through the
         node; a pair left with none is farther apart, and the row of its
-        nearer end is searched again over the remaining members. The
-        node's row and column are swap-removed: the last member takes its
+        nearer end is searched again over the remaining links. The node's
+        row, column and links are swap-removed: the last member takes its
         position."""
-        pos, sigma, rows = self.pos, self.sigma, self.rows
+        pos, sigma, rows, adj = self.pos, self.sigma, self.rows, self.adj
         p = pos.pop(g.index_of(node))
         si, level = sigma[p], rows[p]
         lost = set()
@@ -398,13 +390,17 @@ class _BlockTable:
         for d, ring in enumerate(level):
             for t in ring:
                 rows[t][d].remove(p)
+        for b in adj[p]:
+            del adj[b][p]
         last = len(rows) - 1
         if p != last:
             for d, ring in enumerate(rows[last]):
                 for t in ring:
                     rows[t][d].remove(last)
                     rows[t][d].add(p)
-            rows[p], sigma[p] = rows[last], sigma[last]
+            for b in adj[last]:
+                adj[b][p] = adj[b].pop(last)
+            rows[p], sigma[p], adj[p] = rows[last], sigma[last], adj[last]
             for row in sigma:
                 row[p] = row[last]
             pos[next(v for v, a in pos.items() if a == last)] = p
@@ -413,22 +409,19 @@ class _BlockTable:
                 lost.add(p)
         rows.pop()
         sigma.pop()
+        adj.pop()
         for row in sigma:
             row.pop()
-        if lost:
-            adj = g.adjacency
-            members = sorted(pos, key=pos.__getitem__)
-            local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
-            for s in lost:
-                ds, ss = _bfs(local, s)
-                for d, ring in enumerate(rows[s]):
-                    for t in ring:
-                        if max(ds[t], 0) != d:
-                            rows[t][d].remove(s)
-                            _file(rows[t], max(ds[t], 0), s)
-                rows[s], sigma[s] = _buckets(ds), ss
-                for row, c in zip(sigma, ss):
-                    row[s] = c
+        for s in lost:
+            ds, ss = _bfs(adj, s)
+            for d, ring in enumerate(rows[s]):
+                for t in ring:
+                    if max(ds[t], 0) != d:
+                        rows[t][d].remove(s)
+                        _file(rows[t], max(ds[t], 0), s)
+            rows[s], sigma[s] = _buckets(ds), ss
+            for row, c in zip(sigma, ss):
+                row[s] = c
         self.paid.clear()
         self.stash = None
 
@@ -436,7 +429,7 @@ class _BlockTable:
         """A grown copy, which does not take the stash; this table is
         left as it is."""
         rows = [[set(ring) for ring in row] for row in self.rows]
-        t = _BlockTable(dict(self.pos), [s[:] for s in self.sigma], rows)
+        t = _BlockTable(dict(self.pos), [dict(a) for a in self.adj], [s[:] for s in self.sigma], rows)
         t.grow(g, node)
         return t
 
@@ -465,7 +458,7 @@ def _block_table(g: Multigraph, coalition: Iterable[str]) -> _BlockTable:
     adj = g.adjacency
     local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
     searched = [_bfs(local, a) for a in range(len(members))]
-    return _BlockTable(pos, [s for _, s in searched], [_buckets(d) for d, _ in searched])
+    return _BlockTable(pos, local, [s for _, s in searched], [_buckets(d) for d, _ in searched])
 
 
 def _detours(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:

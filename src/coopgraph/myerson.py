@@ -14,9 +14,10 @@ the table node_path_counts reads). From it:
   that contain i (multigraph._containment; for a pair s, t only the
   bucket at d(s, i) + d(i, t) is read);
 * a node i joining block T needs no table of T + {i}: its distances and
-  counts come from its neighbours' rows in T. In a block it has no link
-  to, or a fresh one, i is isolated and paid 0, never more than now:
-  dynamics and the external check value only the blocks i links to.
+  counts come from one BFS from i over T's links and its own. In a block
+  it has no link to, or a fresh one, i is isolated and paid 0, never
+  more than now: dynamics and the external check value only the blocks i
+  links to.
 
 MyersonModel.payoff serves both and remembers each value per (block,
 node) in the table's paid dict, until the table changes.
@@ -26,10 +27,10 @@ better response accepts a join into its block, shrunk in place when it
 accepts a leave from it (a singleton source's table is dropped, so the
 cache holds the live blocks only and a move searches nothing), and
 copied, then grown, when the external check values an entry. An
-outsider's payoff leaves its entry and detour pairs on the table as its
-one stash; the accepted join that follows grows the table from them,
-and any other join computes its own. Growing or shrinking drops the
-stash, and a grown copy starts without one.
+outsider's payoff leaves its counts, buckets, detour pairs and links on
+the table as its one stash; the accepted join that follows grows the
+table from them, and any other join computes its own. Growing or
+shrinking drops the stash, and a grown copy starts without one.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
@@ -329,7 +330,7 @@ class MyersonModel:
         if v is None:
             a = t.pos.get(i)
             if a is None:
-                counts = _containment(*t.join(i, self.g.adjacency[i])[1:])
+                counts = _containment(*t.join(i, self.g.adjacency[i])[1:4])
             else:
                 counts = _containment(t.sigma[a], t.rows[a], _through(t.rows, t.rows[a]))
             v = t.paid[i] = self._scaled(counts)

@@ -8,8 +8,9 @@ a fixed geodesic game over every coalition of a chosen communication
 graph. reference_node_path_counts keeps the library's former cubic
 containment loop as a second, independent reference, and
 reference_containment the Myerson model's former all-pairs count of the
-geodesics through one node, and reference_envelope the alpha sweep's
-former envelope in Fractions. assert_skips_only_losing_deviations checks
+geodesics through one node, reference_entry the block table's former row
+walk for a joining node, and reference_envelope the alpha sweep's former
+envelope in Fractions. assert_skips_only_losing_deviations checks
 a dynamics state's deviations against every move enumerate_deviations
 lists.
 """
@@ -252,6 +253,36 @@ def reference_containment(dist, di, si):
             if dist[s][t] < 0 or length <= dist[s][t]:
                 counts[length] += si[s] * si[t]
     return counts
+
+
+def reference_entry(table, links):
+    """Geodesic counts and buckets from an outside node with these (graph
+    index -> multiplicity) links to every member of a block table, by a
+    walk over the rows of its linked members, with no search: a member's
+    distance is one more than its least distance from a linked member
+    (the linked member itself at 0), and its count sums over the linked
+    members attaining it. Returns (si, level), level[d] the members at
+    distance d >= 1 and level[0] those the node cannot reach."""
+    pos, sigma, rows = table.pos, table.sigma, table.rows
+    di = [-1] * len(pos)
+    si = [0] * len(pos)
+    for u, mult in links.items():
+        a = pos.get(u)
+        if a is None:
+            continue
+        su = sigma[a]
+        # Bucket d of a's row lies at d + 1; the slot of the members a
+        # cannot reach stands for a itself.
+        for d, ring in enumerate(rows[a], 1):
+            for x in ring if d > 1 else (a,):
+                if di[x] < 0 or d < di[x]:
+                    di[x], si[x] = d, mult * su[x]
+                elif d == di[x]:
+                    si[x] += mult * su[x]
+    level = [set() for _ in range(max(0, *di) + 1)]
+    for x, d in enumerate(di):
+        level[max(d, 0)].add(x)
+    return si, level
 
 
 def reference_envelope(forms, lo, hi):

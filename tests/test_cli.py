@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopgraph import MyersonModel, Partition, load_dataset
+from coopgraph import MyersonModel, Partition, component_characteristic, load_dataset
 from coopgraph.cli import cli_dispatch
 from coopgraph.datasets import karate_split_15_19
 from coopgraph.reports import (
@@ -306,6 +307,19 @@ class TestMyersonValueCommand:
         assert payload["allocation_at_r"]["A"] == "5/12"
         assert payload["value_at_r"] == "3"
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "karate"])
+    def test_the_value_is_the_coalitions_worth(self, capsys, name):
+        # The command sums the allocation, which per component of the
+        # coalition's subgraph is the component's worth.
+        g = load_dataset(name)
+        rng = random.Random(name)
+        for _ in range(20):
+            coalition = rng.sample(g.labels, rng.randint(1, g.n))
+            code, out, _ = run(capsys, "myerson", "value", "--graph", name, "--coalition", ",".join(coalition))
+            assert code == 0
+            want = component_characteristic(g, coalition)
+            assert json.loads(out)["value"] == {"poly": want.power_strings(), "str": str(want)}
+
     def test_unknown_node_exits_2(self, capsys):
         code, _, err = run(
             capsys, "myerson", "value", "--graph", "example1", "--coalition", "A,Q"
@@ -411,6 +425,23 @@ class TestStabilityCommand:
         )
         assert code == 2
         assert "myerson" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--model", "myerson", "--r", "1/2", "--alpha", "1/3"], "--alpha applies to the hedonic model only"),
+            (["--model", "hedonic", "--alpha", "1/2", "--r", "1/3"], "--r applies to the myerson model only"),
+        ],
+        ids=["alpha-for-myerson", "r-for-hedonic"],
+    )
+    def test_the_other_models_parameter_is_refused(self, capsys, tmp_path, flags, named):
+        path = tmp_path / "p.json"
+        g = load_dataset("example1")
+        path.write_text(partition_to_json(Partition.grand(g.labels)))
+        code, out, err = run(capsys, "stability", "--graph", "example1", "--partition", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
 
 
 class TestSweepCommand:

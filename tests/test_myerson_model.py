@@ -11,8 +11,9 @@ node_path_counts and coalition_path_counts read a table of the same
 kind. The references in conftest share none of that:
 reference_node_path_counts is the direct cubic loop over (x, s, t) on
 the induced subgraph, brute_force_profiles enumerates simple paths,
-reference_containment scans every pair of a block, and
-myerson_shapley_oracle sums Shapley marginals over every coalition.
+reference_containment scans every pair of a block, reference_entry
+walks the rows of a joining node's linked members instead of searching,
+and myerson_shapley_oracle sums Shapley marginals over every coalition.
 Dynamics are compared move for move with run_dynamics driven by a
 reference payoff.
 """
@@ -61,6 +62,7 @@ from conftest import (
     brute_force_profiles,
     reference_allocation,
     reference_containment,
+    reference_entry,
     reference_node_path_counts,
 )
 
@@ -250,10 +252,19 @@ def all_distances(table):
     return [distances(row, len(table.rows)) for row in table.rows]
 
 
-def assert_same_table(table, built):
-    """Equal distances, read from the buckets, and geodesic counts for
-    every pair of members, whatever rows the two tables give them."""
+def assert_same_table(g, table, block):
+    """The table of the block against one searched afresh: equal
+    distances, read from the buckets, and geodesic counts for every pair
+    of members, whatever rows the two tables give them, and each row's
+    links those of the block's induced subgraph."""
+    built = _block_table(g, block)
     assert table.pos.keys() == built.pos.keys()
+    label = {a: g.labels[v] for v, a in table.pos.items()}
+    h = induced_subgraph(g, block)
+    assert len(table.adj) == len(label)
+    for a, links in enumerate(table.adj):
+        want = {h.label_of(w): mult for w, mult in h.adjacency[h.index_of(label[a])].items()}
+        assert {label[b]: mult for b, mult in links.items()} == want
     dist, want = all_distances(table), all_distances(built)
     for u, a in table.pos.items():
         for v, b in table.pos.items():
@@ -277,7 +288,7 @@ def test_derived_tables_equal_tables_built_by_search(data):
     model = MyersonModel.bind(g, 1)
     model.better_response(p)
     for block, table in model.tables.items():
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
 
 
@@ -296,13 +307,13 @@ def test_a_table_grown_in_place_equals_the_searched_one(data):
     table = _block_table(g, block)
     for node in outside[: data.draw(st.integers(1, len(outside)))]:
         copy = table.grown(g, node)
-        assert_same_table(copy, _block_table(g, block | {node}))
+        assert_same_table(g, copy, block | {node})
         assert_buckets_partition_the_members(copy)
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
         table.grow(g, node)
         block |= {node}
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
 
 
@@ -319,7 +330,7 @@ def test_a_table_shrunk_in_place_equals_the_searched_one(data):
     for node in leaving[: data.draw(st.integers(0, len(block) - 1))]:
         table.shrink(g, node)
         block -= {node}
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
 
 
@@ -341,7 +352,7 @@ def test_shrinking_splits_and_empties_a_block(edges, leaving):
         table.paid.update(dict.fromkeys(range(g.n), 1))
         table.shrink(g, node)
         block -= {node}
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
         assert not table.paid
     assert len(block) == len(table.rows) >= 1
@@ -361,7 +372,7 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
         elif len(block) > 1:
             table.shrink(g, node)
             block -= {node}
-        assert_same_table(table, _block_table(g, block))
+        assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
 
 
@@ -399,7 +410,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
             model.tables[joined] = model.tables.pop(block)
             block = joined
             assert table.stash is None and not table.paid
-            assert_same_table(table, _block_table(g, block))
+            assert_same_table(g, table, block)
 
         for _ in range(data.draw(st.integers(1, 4))):
             if len(block) == g.n:
@@ -415,13 +426,13 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
                 node = x if data.draw(st.booleans()) else outsider()
                 copy = table.grown(g, node)
                 assert table.stash is stash
-                assert_same_table(copy, _block_table(g, block | {node}))
-                assert_same_table(table, _block_table(g, block))
+                assert_same_table(g, copy, block | {node})
+                assert_same_table(g, table, block)
                 rest = sorted(set(g.labels) - block - {node})
                 if rest:
                     z = data.draw(st.sampled_from(rest))
                     copy.grow(g, z)
-                    assert_same_table(copy, _block_table(g, block | {node, z}))
+                    assert_same_table(g, copy, block | {node, z})
                 seen.add("grown")
             step = data.draw(st.sampled_from(["none", "grow", "shrink"]))
             if step == "grow" and len(block) < g.n - 1:
@@ -513,7 +524,7 @@ def without_trailing_zeros(counts):
 @given(st.data())
 def test_bucketed_containment_matches_the_all_pairs_reference(data):
     # For every member (its own row, scanned at exact lengths and by
-    # _detours) and every other node (its entry), on a searched table or
+    # _detours) and every other node (its join), on a searched table or
     # one grown from a smaller block.
     g = data.draw(graphs())
     block = data.draw(st.lists(st.sampled_from(g.labels), min_size=1, unique=True))
@@ -528,12 +539,65 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
             si, level = table.sigma[a], table.rows[a]
             scans = [_through, _detours]
         else:
-            si, level = table.entry(g.adjacency[i])
+            si, level = table.join(i, g.adjacency[i])[1:3]
             scans = [_detours]
-        want = reference_containment(all_distances(table), distances(level, len(si)), si)
+        want = reference_containment(all_distances(table), distances(level, len(table.rows)), si)
         for scan in scans:
             got = _containment(si, level, scan(table.rows, level))
             assert without_trailing_zeros(got) == without_trailing_zeros(want)
+
+
+def test_a_join_counts_what_the_row_walk_counts():
+    # On a table searched, grown or shrunk in place, or copied by grown,
+    # every outside node's join (one search over the block's links) must
+    # give the counts and buckets of the row walk over its linked members'
+    # rows, and leave the table as it was. seen records that the runs
+    # cover each kind of table, entrants with no link into the block, and
+    # entrants that join two of its components.
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        g = data.draw(graphs())
+        assume(g.n >= 2)
+        block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
+        table = _block_table(g, block)
+        kind = "searched"
+        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink", "grown"]), max_size=3)):
+            outside = sorted(set(g.labels) - block)
+            if step == "shrink" and len(block) > 1:
+                node = data.draw(st.sampled_from(sorted(block)))
+                table.shrink(g, node)
+                block -= {node}
+            elif step != "shrink" and len(outside) > 1:
+                node = data.draw(st.sampled_from(outside))
+                if step == "grown":
+                    table = table.grown(g, node)
+                else:
+                    table.grow(g, node)
+                block |= {node}
+            else:
+                continue
+            kind = step
+        seen.add(kind)
+        q = len(table.rows)
+        for node in sorted(set(g.labels) - block):
+            i = g.index_of(node)
+            want_si, want_level = reference_entry(table, g.adjacency[i])
+            stash = table.join(i, g.adjacency[i])
+            assert stash[0] == i
+            assert stash[1] == want_si + [1] and stash[2] == want_level
+            assert stash[4] == {table.pos[u]: mult for u, mult in g.adjacency[i].items() if u in table.pos}
+            linked = [table.pos[u] for u in g.adjacency[i] if u in table.pos]
+            if not linked:
+                seen.add("no link")
+            elif any(b in table.rows[a][0] for a in linked for b in linked):
+                seen.add("two components")
+        assert_same_table(g, table, block)
+
+    check()
+    assert seen == {"searched", "grow", "shrink", "grown", "no link", "two components"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -647,27 +711,35 @@ class TestTableCache:
     )
     def test_an_accepted_join_reuses_the_entry_its_payoff_computed(self, monkeypatch, graph, start, r, most):
         # The mover's payoff in the target is the last join valued on the
-        # target's table, so grow reads its stash and computes no entry.
-        # most is the number of entries a run makes (with an entry per
-        # grow too, 107, 100, 88, 88, 88 and 78).
+        # target's table, so grow reads its stash and computes no join.
+        # most is the number of joins a run computes (with one per grow
+        # too, 107, 100, 88, 88, 88 and 78).
         g = load_dataset("karate") if graph == "karate" else parse_edge_list(PLANTED.read_text())
         p = Partition.singletons(g.labels)
         if start is not None:
             p = partition_from_json((DATA / start).read_text(), universe=g.labels)
-        entries, grown = [], []
-        entry, grow = _BlockTable.entry, _BlockTable.grow
+        joins, grown = [], []
+        join, grow = _BlockTable.join, _BlockTable.grow
+
+        def watched_join(t, i, links):
+            # A join is computed when it leaves a new stash.
+            held = t.stash
+            stash = join(t, i, links)
+            if stash is not held:
+                joins.append(i)
+            return stash
 
         def watched_grow(t, g, node):
-            before = len(entries)
+            before = len(joins)
             grow(t, g, node)
-            grown.append(len(entries) - before)
+            grown.append(len(joins) - before)
 
-        monkeypatch.setattr(_BlockTable, "entry", lambda t, links: entries.append(links) or entry(t, links))
+        monkeypatch.setattr(_BlockTable, "join", watched_join)
         monkeypatch.setattr(_BlockTable, "grow", watched_grow)
         _, trace = MyersonModel.bind(g, r).better_response(p, Schedule(policy=ROUND_ROBIN))
         assert len(grown) == sum(not step.move.is_fresh for step in trace.steps) > 0
         assert set(grown) == {0}
-        assert len(entries) <= most
+        assert len(joins) <= most
 
     def test_nash_check_after_a_stable_run_builds_no_table(self, graph_and_start):
         # The run's last pass valued every deviation from the final
