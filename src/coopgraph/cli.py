@@ -90,9 +90,12 @@ def _hedonic_model(args, g: Multigraph):
     if (args.alpha is None) == (not args.modularity):
         raise ValueError("choose exactly one of --alpha p/q or --modularity")
     if args.alpha is not None:
+        for flag in ("gamma", "beta"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to --modularity only")
         vf = AlphaModel(parse_rational(args.alpha))
         return vf, {"kind": "alpha", "alpha": format_rational(vf.alpha)}
-    beta_arg = args.beta
+    beta_arg = "uniform:1" if args.beta is None else args.beta
     if beta_arg == "degree-norm":
         beta: Optional[Fraction] = None
         beta_desc = "degree-normalized"
@@ -101,7 +104,7 @@ def _hedonic_model(args, g: Multigraph):
         beta_desc = format_rational(beta)
     else:
         raise ValueError(f"--beta must be 'uniform:p/q' or 'degree-norm', got {beta_arg!r}")
-    vf = Modularity(gamma=parse_rational(args.gamma), beta=beta)
+    vf = Modularity(gamma=parse_rational("1" if args.gamma is None else args.gamma), beta=beta)
     return vf, {"kind": "modularity", "gamma": format_rational(vf.gamma), "beta": beta_desc}
 
 
@@ -315,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--graph", required=True)
     ph.add_argument("--alpha")
     ph.add_argument("--modularity", action="store_true")
-    ph.add_argument("--gamma", default="1")
-    ph.add_argument("--beta", default="uniform:1")
+    ph.add_argument("--gamma")
+    ph.add_argument("--beta")
     ph.add_argument("--init", default="singletons")
     _add_schedule_flags(ph)
     ph.add_argument("--out")

@@ -11,10 +11,9 @@ coalition (_BlockTable): member positions, the links inside the
 coalition, geodesic counts and distance buckets, from one BFS per member
 over those links. Every count is a _bfs over them: a joining node's is
 one BFS from the node, and a shrunk table's rows are searched again.
-coalition_path_counts sums its counts per distance, and node_path_counts
-reads each member's containment vector from it (_containment), the count
-the Myerson model's payoffs use; the Myerson model keeps one table per
-live block.
+coalition_path_counts sums its counts per distance; node_path_counts
+reads all members' containment vectors (_containments), a Myerson
+payoff one member's (_containment).
 """
 
 from __future__ import annotations
@@ -297,7 +296,7 @@ class _BlockTable:
     denominator: a member's in the coalition, an outsider's in the
     coalition it would join. stash holds the last outsider join
     computed, (i, si, level, pairs, link) from join, for a grow by i to
-    read. grow and shrink drop both, and a grown copy starts with
+    read. grow and shrink drop both, and a grown copy ends with
     neither."""
 
     __slots__ = ("pos", "adj", "sigma", "rows", "paid", "stash")
@@ -426,10 +425,13 @@ class _BlockTable:
         self.stash = None
 
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
-        """A grown copy, which does not take the stash; this table is
-        left as it is."""
+        """A grown copy, from a copy of a stash held for the node; this
+        table is left as it is."""
         rows = [[set(ring) for ring in row] for row in self.rows]
         t = _BlockTable(dict(self.pos), [dict(a) for a in self.adj], [s[:] for s in self.sigma], rows)
+        if self.stash is not None and self.stash[0] == g.index_of(node):
+            i, si, level, pairs, link = self.stash
+            t.stash = i, si[:], [set(ring) for ring in level], pairs, dict(link)
         t.grow(g, node)
         return t
 
@@ -509,6 +511,35 @@ def _containment(si: list[int], level: list[set], pairs: Iterable[tuple]) -> lis
     return [c // 2 for c in counts]
 
 
+def _containments(t: _BlockTable) -> list[list[int]]:
+    # Brandes' accumulation, a backward pass per row s: h[v] = x^d(s,v) +
+    # mult h[w] over v's links w a bucket farther, and v gains sigma(s,v)
+    # h[v]. Doubled counts, x^d at bit d * width: sigma(s,v) sigma(v,t)
+    # <= sigma(s,t) keeps each field below sum(sigma).
+    length = max(map(len, t.rows)) - 1
+    width = sum(map(sum, t.sigma)).bit_length() + 1
+    links = [list(a.items()) for a in t.adj]
+    q = len(links)
+    total, h = [0] * q, [0] * q
+    for s, (row, sig) in enumerate(zip(t.rows, t.sigma)):
+        dist = [0] * q
+        for d in range(1, len(row)):
+            for v in row[d]:
+                dist[v] = d
+        for d in range(len(row) - 1, 0, -1):
+            x, e = 1 << d * width, d + 1
+            for v in row[d]:
+                hv = x
+                for w, mult in links[v]:
+                    if dist[w] == e:
+                        hv += mult * h[w]
+                h[v] = hv
+                total[v] += sig[v] * hv
+        total[s] += sum(mult * h[w] for w, mult in links[s])
+    mask = (1 << width) - 1
+    return [[(c >> k * width & mask) >> 1 for k in range(1, length + 1)] for c in total]
+
+
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
     """Geodesic path counts inside g restricted to the coalition, summed
     per distance over the rows of its geodesic table."""
@@ -522,15 +553,7 @@ def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfil
 
 
 def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile:
-    """Per-node geodesic containment counts inside g restricted to the coalition.
-
-    Each member's vector is _containment over its row of the coalition's
-    geodesic table, the count the Myerson model reads for its payoffs.
-    """
+    """Per-node geodesic containment counts inside g restricted to the coalition."""
     t = _block_table(g, coalition)
-    length = max(map(len, t.rows)) - 1
-    counts = {}
-    for v, a in t.pos.items():
-        vec = _containment(t.sigma[a], t.rows[a], _through(t.rows, t.rows[a]))[1:]
-        counts[g.label_of(v)] = tuple(vec[:length]) + (0,) * (length - len(vec))
-    return NodePathProfile(counts, length)
+    vecs = _containments(t)
+    return NodePathProfile({g.label_of(v): tuple(vecs[a]) for v, a in t.pos.items()}, len(vecs[0]))

@@ -30,17 +30,16 @@ copied, then grown, when the external check values an entry. An
 outsider's payoff leaves its counts, buckets, detour pairs and links on
 the table as its one stash; the accepted join that follows grows the
 table from them, and any other join computes its own. Growing or
-shrinking drops the stash, and a grown copy starts without one.
+shrinking drops the stash; a grown copy copies one held for its entrant.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
 a trace step, when a trace is asked for. Report allocations come from
-node_path_counts, which counts on a table of its own with the same
-algorithm.
+node_path_counts, which searches a table of its own (the benchmark
+traces that call) and counts all members at once.
 
 The game has no potential, so dynamics run on partition.settle with a
-cycle key: the block positions of partition._IndexState renumbered by
-first occurrence in graph-index order.
+cycle key: the set of the block frozensets.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class CharPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_exact(c, "coefficient") for c in coeffs]
+        cs = [c if type(c) is Fraction else _exact(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -416,10 +415,10 @@ class _MyersonState(_IndexState):
             del blocks[s]
         super().accept(i, target, gain)
 
-    def cycle_key(self) -> tuple[int, ...]:
-        # A restricted growth string: equal exactly when the partitions are.
-        first: dict[int, int] = {}
-        return tuple([first.setdefault(b, len(first)) for b in self.block])
+    def cycle_key(self) -> frozenset:
+        # Equal exactly when the partitions are; keys share the blocks a
+        # move leaves alone.
+        return frozenset(self.blocks)
 
 
 def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:

@@ -171,6 +171,32 @@ class TestPartitionCommand:
         report = json.loads(out)
         assert report["model"] == {"kind": "modularity", "gamma": "1", "beta": "1"}
         assert report["stability"]["nash_stable"] is True
+        # The defaults are --gamma 1 --beta uniform:1.
+        code, out, _ = run(
+            capsys,
+            "partition", "hedonic", "--graph", "example1", "--modularity",
+            "--init", "singletons", "--gamma", "1", "--beta", "uniform:1",
+        )
+        assert code == 0
+        explicit = json.loads(out)
+        for r in (report, explicit):
+            r.pop("timing_seconds")
+        assert explicit == report
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--gamma", "3"], "--gamma applies to --modularity only"),
+            (["--beta", "degree-norm"], "--beta applies to --modularity only"),
+            (["--gamma", "1", "--beta", "uniform:1"], "--gamma applies to --modularity only"),
+        ],
+        ids=["gamma", "beta", "both-defaults"],
+    )
+    def test_modularity_parameters_are_refused_with_alpha(self, capsys, flags, named):
+        code, out, err = run(capsys, "partition", "hedonic", "--graph", "example1", "--alpha", "1/5", *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
 
     def test_reports_reproducible_except_timing(self, capsys, tmp_path):
         outs = []

@@ -60,6 +60,19 @@ class TestCharPoly:
         with pytest.raises(ValueError):
             p.coefficient(0)
 
+    def test_coefficients_are_fractions_and_floats_and_bools_are_refused(self):
+        # A Fraction is kept as given; ints and "p/q" strings become
+        # Fractions, so every coefficient prints as a rational.
+        third = Fraction(1, 3)
+        p = CharPoly([2, " 6/8 ", third])
+        assert p.coefficient(3) is third
+        assert [type(p.coefficient(k)) for k in (1, 2, 3)] == [Fraction] * 3
+        assert p == poly(2, Fraction(3, 4), third)
+        assert p.power_strings() == ["0", "2", "3/4", "1/3"]
+        for bad in (0.5, True, False):
+            with pytest.raises(ValueError, match="float|bool"):
+                CharPoly([1, bad])
+
     def test_strings(self):
         p = poly(Fraction(3, 2), Fraction(4, 3), 1)
         assert str(p) == "3/2 r + 4/3 r^2 + r^3"

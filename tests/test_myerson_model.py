@@ -52,7 +52,7 @@ from coopgraph import (
     run_dynamics,
 )
 from coopgraph import myerson
-from coopgraph.multigraph import _BlockTable, _detours, _through
+from coopgraph.multigraph import _BlockTable, _containments, _detours, _through
 from coopgraph.myerson import _block_table, _containment
 from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
@@ -82,16 +82,19 @@ def ref_gain(g: Multigraph, p: Partition, mv: Move, r: Fraction) -> Fraction:
 
 
 @st.composite
-def graphs(draw, max_nodes=8, alphabet=None):
+def graphs(draw, max_nodes=8, alphabet=None, max_mult=3):
     """Small multigraphs, multiplicities 1-3, sparse enough that many
     coalitions are disconnected; label order differs from first mention.
-    With an alphabet, labels are drawn from it instead."""
+    With an alphabet, labels are drawn from it instead. A larger max_mult
+    mixes in multiplicities up to it."""
     n = draw(st.integers(1, max_nodes))
     if alphabet is None:
         names = draw(st.permutations([f"n{k}" for k in range(n)]))
     else:
         names = draw(st.lists(st.text(alphabet, min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
     weights = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
+    if max_mult > 3:
+        weights = st.one_of(weights, st.integers(1, max_mult))
     edges = [
         (names[i], names[j], w)
         for i in range(n)
@@ -122,13 +125,58 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 @SETTINGS
 @given(st.data())
 def test_node_path_counts_matches_the_cubic_reference(data):
-    g = data.draw(graphs())
+    # Multiplicities up to 10**6 give counts far wider than a machine word.
+    g = data.draw(graphs(max_mult=data.draw(st.sampled_from([3, 10**6]))))
     coalition = data.draw(st.sets(st.sampled_from(g.labels), min_size=1))
     got = node_path_counts(g, coalition)
     want = reference_node_path_counts(g, coalition)
     assert got == want
     assert list(got.counts) == list(want.counts)
     assert coalition_path_counts(g, coalition).counts == brute_force_profiles(g, coalition)[0]
+
+
+def test_one_accumulation_counts_what_each_members_scan_counts():
+    # _containments against _containment over each member's own row, on
+    # tables searched and then grown and shrunk in turn. seen records that
+    # the runs cover rows swapped by a shrink, members the block's other
+    # members cannot reach, and a single member. Multiplicities up to
+    # 10**6 stress the width of the packed fields.
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        g = data.draw(graphs(max_mult=10**6))
+        block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
+        table = _block_table(g, block)
+
+        def compare():
+            rows = table.rows
+            if any(row[0] for row in rows):
+                seen.add("disconnected")
+            if len(rows) == 1:
+                seen.add("singleton")
+            got = _containments(table)
+            assert len(got) == len(rows)
+            for a, row in enumerate(rows):
+                assert len(got[a]) == max(map(len, rows)) - 1
+                want = _containment(table.sigma[a], row, _through(rows, row))[1:]
+                assert without_trailing_zeros(got[a]) == without_trailing_zeros(want)
+
+        compare()
+        for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=8)):
+            if node not in block:
+                table.grow(g, node)
+                block |= {node}
+            elif len(block) > 1:
+                if table.pos[g.index_of(node)] != len(block) - 1:
+                    seen.add("swapped")
+                table.shrink(g, node)
+                block -= {node}
+            compare()
+
+    check()
+    assert seen == {"swapped", "disconnected", "singleton"}
 
 
 @SETTINGS
@@ -421,7 +469,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
             assert table.stash[0] == g.index_of(x)
             if data.draw(st.booleans()):
                 # Growing the copy on changes the rows it holds, so a copy
-                # grown by x must not have taken x's stash.
+                # grown by x must have grown from copies of x's stash.
                 stash = table.stash
                 node = x if data.draw(st.booleans()) else outsider()
                 copy = table.grown(g, node)
@@ -454,9 +502,8 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
 
 class CheckedState(myerson._MyersonState):
     """The dynamics state, checking each cycle key it hands out against
-    its partition's blocks renumbered by first occurrence in graph-index
-    order, and checking that keys and canonical forms tell the same
-    partitions apart."""
+    the set of its partition's blocks, and checking that keys and
+    canonical forms tell the same partitions apart."""
 
     def __init__(self, model, p):
         super().__init__(model, p)
@@ -467,8 +514,7 @@ class CheckedState(myerson._MyersonState):
     def cycle_key(self):
         key = super().cycle_key()
         p = self.partition()
-        g, first = self.model.g, {}
-        assert key == tuple(first.setdefault(p.block_of(g.labels[i]), len(first)) for i in range(g.n))
+        assert key == frozenset(p.blocks)
         form = canonical_form(p)
         assert self.forms.setdefault(key, form) == form
         assert self.keys_of.setdefault(form, key) == key
@@ -765,6 +811,36 @@ class TestTableCache:
         assert model.nash_stable(grand) == (True, None)
         assert model.external_stability(grand) == (True, None)
         assert calls == [] and searched == []
+
+    def test_external_check_grows_each_copy_from_the_join_it_valued(self, monkeypatch):
+        # The check values an entry, which leaves that join on the entered
+        # block's table as its stash, then grows a copy of the table by the
+        # same node. The copy grows from the stash: of the 8 joins read, by
+        # 5 payoffs and 3 grows, only the payoffs' are computed. Each copy
+        # is the table of the joined block.
+        g = parse_edge_list(PLANTED.read_text())
+        p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
+        joins, copies = [], []
+        join, grown = _BlockTable.join, _BlockTable.grown
+
+        def watched_join(t, i, links):
+            held = t.stash
+            stash = join(t, i, links)
+            joins.append(stash is not held)
+            return stash
+
+        def watched_grown(t, g, node):
+            copy = grown(t, g, node)
+            copies.append(copy)
+            assert_same_table(g, copy, frozenset(g.labels[v] for v in copy.pos))
+            return copy
+
+        monkeypatch.setattr(_BlockTable, "join", watched_join)
+        monkeypatch.setattr(_BlockTable, "grown", watched_grown)
+        model = MyersonModel.bind(g, Fraction(1, 2))
+        assert model.external_stability(p) == (False, ("n04", 0))
+        assert len(copies) == 3
+        assert len(joins) == 8 and sum(joins) == 5
 
     def test_external_check_derives_each_entered_block(self, searched):
         # Two beneficial entries are blocked by an incumbent before an
