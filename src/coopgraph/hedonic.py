@@ -55,6 +55,7 @@ from .partition import (
     Schedule,
     Trace,
     _check_move,
+    _index_blocks,
     _IndexState,
     canonical_form,
     nash_scan,
@@ -180,12 +181,8 @@ class HedonicModel:
         """den times the pair value of distinct graph indices i and j."""
         return self.lam * self.a[i].get(j, 0) - self.kap * self.c[i] * self.c[j]
 
-    def _index_blocks(self, p: Partition) -> list[list[int]]:
-        index = self.g.index_of
-        return [[index(u) for u in block] for block in p.blocks]
-
     def potential(self, p: Partition) -> Potential:
-        links, pairs = self.within(self._index_blocks(p))
+        links, pairs = self.within(_index_blocks(self.g, p))
         value = Fraction(self.lam * links - self.kap * pairs, self.den)
         if isinstance(self.vf, AlphaModel):
             return Potential(value, Fraction(links), Fraction(-pairs))
@@ -223,7 +220,7 @@ class _BlockState(_IndexState):
     key is kept."""
 
     def __init__(self, model: HedonicModel, p: Partition):
-        super().__init__(model.g.labels, model._index_blocks(p), model.c, model.den)
+        super().__init__(model.g.labels, _index_blocks(model.g, p), model.c, model.den)
         self.model = model
 
     def deviations(self, i: int):
@@ -264,7 +261,7 @@ def potential_form(g: Multigraph, p: Partition) -> tuple[int, int]:
 
 
 def _form(structure: HedonicModel, p: Partition) -> tuple[int, int]:
-    links, pairs = structure.within(structure._index_blocks(p))
+    links, pairs = structure.within(_index_blocks(structure.g, p))
     return links, -pairs
 
 
@@ -287,7 +284,6 @@ def nash_stable(
     """True when no single node strictly gains by relocating to another
     block or to a fresh one; otherwise returns the first improving move in
     label and enumerate_deviations order. p must cover exactly g's nodes."""
-    p.check_cover(g.labels)
     return nash_scan(_BlockState(HedonicModel.bind(vf, g), p))
 
 
@@ -300,7 +296,6 @@ def better_response(
     The potential rises by exactly the step's gain at every accepted move
     and there are finitely many partitions, so the run always stops Stable
     (or at the step cap) and the result passes nash_stable."""
-    start.check_cover(g.labels)
     return run_schedule(_BlockState(HedonicModel.bind(vf, g), start), schedule)
 
 
@@ -348,25 +343,28 @@ def alpha_sweep(
     candidates are discovered by running better_response from each start
     (default: singletons and the grand coalition) at grid+1 evenly spaced
     rational alphas, then enveloped. Breakpoints are exact rationals.
-    Every candidate and start must cover exactly g's nodes. The graph is
-    bound once; each grid point only rescales the binding.
+    Every candidate and start must cover exactly g's nodes. In both modes
+    ValueError is raised unless alpha_range is a pair (lo, hi) with
+    0 <= lo < hi <= 1 and grid is an int of at least 1 (a bool is not);
+    also for an empty candidate set and for starts given with candidates.
+    The graph is bound once; each grid point only rescales the binding.
     """
-    lo, hi = _exact(alpha_range[0], "alpha range"), _exact(alpha_range[1], "alpha range")
+    if not isinstance(alpha_range, (tuple, list)) or len(alpha_range) != 2:
+        raise ValueError(f"alpha range must be a pair (lo, hi), got {alpha_range!r}")
+    lo, hi = (_exact(a, "alpha range") for a in alpha_range)
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"alpha range must satisfy 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
     structure = HedonicModel.bind(AlphaModel(0), g)
     if candidates is not None:
+        if starts is not None:
+            raise ValueError("starts apply only when candidates are discovered")
         cands = list(candidates)
         if not cands:
             raise ValueError("candidate partition set is empty")
-        for p in cands:
-            p.check_cover(g.labels)
     else:
-        if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
-            raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
         base = list(starts) if starts is not None else []
-        for s in base:
-            s.check_cover(g.labels)
         base += [Partition.singletons(g.labels), Partition.grand(g.labels)]
         found: dict[bytes, Partition] = {}
         for j in range(grid + 1):

@@ -24,13 +24,15 @@ node) in the table's paid dict, until the table changes.
 
 A table has one lifecycle: it is searched on a miss, grown in place when
 better response accepts a join into its block, shrunk in place when it
-accepts a leave from it (a singleton source's table is dropped, so the
-cache holds the live blocks only and a move searches nothing), and
-copied, then grown, when the external check values an entry. An
-outsider's payoff leaves its counts, buckets, detour pairs and links on
-the table as its one stash; the accepted join that follows grows the
-table from them, and any other join computes its own. Growing or
-shrinking drops the stash; a grown copy copies one held for its entrant.
+accepts a leave from it (a singleton source's table is dropped, so a
+run leaves the live blocks only and a move searches nothing), and
+copied, then grown, when the external check values an entry. The check
+keeps that copy to itself, so the cache holds only blocks of the
+partitions passed in and of runs' partitions. An outsider's payoff
+leaves its counts, buckets, detour pairs and links on the table as its
+one stash; the accepted join that follows grows the table from them,
+and any other join computes its own. Growing or shrinking drops the
+stash; a grown copy copies one held for its entrant.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator; dynamics build a Fraction only for
@@ -66,6 +68,7 @@ from .partition import (
     Schedule,
     Trace,
     _check_move,
+    _index_blocks,
     _IndexState,
     nash_scan,
     run_schedule,
@@ -283,7 +286,9 @@ class MyersonModel:
     Payoffs are integers over den: weights[k] = den r^k / (k+1) for every
     geodesic length k < max(n, 1). Block tables are built on first use;
     hits and misses count table lookups. better_response keeps the
-    tables of the live blocks only. Bind with MyersonModel.bind.
+    tables of the live blocks only, and external_stability caches no
+    joined block, so every cached table is of a block of a partition
+    passed in or of a run. Bind with MyersonModel.bind.
     """
 
     def __init__(self, g: Multigraph, weights: tuple[int, ...], den: int):
@@ -323,8 +328,10 @@ class MyersonModel:
         """den times the node's payoff in the block joined by the node: a
         member's from its own row, an outsider's from its links into the
         block."""
-        t = self.table(block)
-        i = self.g.index_of(node)
+        return self._value(self.table(block), self.g.index_of(node))
+
+    def _value(self, t: _BlockTable, i: int) -> int:
+        # payoff on a table and a graph index, remembered in t.paid.
         v = t.paid.get(i)
         if v is None:
             a = t.pos.get(i)
@@ -347,11 +354,9 @@ class MyersonModel:
         return Fraction(self.payoff(p.blocks[mv.target], mv.node) - now, self.den)
 
     def better_response(self, start: Partition, schedule: Schedule = Schedule()) -> tuple[Partition, Trace]:
-        start.check_cover(self.g.labels)
         return run_schedule(_MyersonState(self, start), schedule)
 
     def nash_stable(self, p: Partition) -> tuple[bool, Optional[Move]]:
-        p.check_cover(self.g.labels)
         return nash_scan(_MyersonState(self, p))
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
@@ -359,20 +364,18 @@ class MyersonModel:
         by an incumbent whose payoff would strictly drop; otherwise False
         and the first unblocked (node, block index). The entries are the
         positive-gain deviations that dynamics and nash_stable walk."""
-        p.check_cover(self.g.labels)
         state = _MyersonState(self, p)
         for i in state.nodes:
             node = state.labels[i]
             for k, gain in state.deviations(i):
                 if gain <= 0:
                     continue
-                # block's table is cached by the node's payoff; the joined
-                # block's grows from a copy of it, so neither is searched again.
+                # The node's payoff has cached the block's table; the joined
+                # block's is a private copy grown from it, never cached.
                 block = p.blocks[k]
-                joined = block | {node}
-                if joined not in self.tables:
-                    self.tables[joined] = self.table(block).grown(self.g, node)
-                if not any(self.payoff(joined, j) < self.payoff(block, j) for j in block):
+                t = self.table(block)
+                joined = t.grown(self.g, node)
+                if not any(self._value(joined, j) < self._value(t, j) for j in map(self.g.index_of, block)):
                     return False, (node, k)
         return True, None
 
@@ -385,7 +388,7 @@ class _MyersonState(_IndexState):
 
     def __init__(self, model: MyersonModel, p: Partition):
         g = model.g
-        super().__init__(g.labels, [[g.index_of(u) for u in b] for b in p.blocks], (1,) * g.n, model.den)
+        super().__init__(g.labels, _index_blocks(g, p), (1,) * g.n, model.den)
         self.model = model
         self.blocks = list(p.blocks)
 

@@ -41,7 +41,12 @@ class Move:
     target: Optional[int]
 
     def __post_init__(self):
-        if self.target == self.source:
+        if isinstance(self.source, bool) or not isinstance(self.source, int):
+            raise PartitionError(f"move source must be an int, got {self.source!r}")
+        t = self.target
+        if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
+            raise PartitionError(f"move target must be an int or None, got {t!r}")
+        if t == self.source:
             raise PartitionError("move target equals source")
 
     @property
@@ -52,7 +57,7 @@ class Move:
 class Partition:
     """Disjoint nonempty blocks covering a node set."""
 
-    __slots__ = ("_blocks", "_block_of")
+    __slots__ = ("_blocks", "_block_of", "_covers")
 
     def __init__(self, blocks: Iterable[Iterable[str]], universe: Optional[Iterable[str]] = None):
         blks = []
@@ -70,6 +75,7 @@ class Partition:
             blks.append(frozenset(block))
         self._blocks = tuple(blks)
         self._block_of = block_of
+        self._covers = None
         if universe is not None:
             self.check_cover(universe)
 
@@ -92,7 +98,10 @@ class Partition:
         return frozenset(self._block_of)
 
     def check_cover(self, universe: Iterable[str]) -> None:
-        """Raise PartitionError unless the blocks cover exactly the universe."""
+        """Raise PartitionError unless the blocks cover exactly the universe.
+        A tuple found covered is remembered, so checking it again is free."""
+        if universe is self._covers:
+            return
         labels = set(map(_label, universe))
         missing = labels - self._block_of.keys()
         extra = self._block_of.keys() - labels
@@ -100,6 +109,8 @@ class Partition:
             raise PartitionError(f"blocks do not cover: {sorted(missing)}")
         if extra:
             raise PartitionError(f"blocks contain unknown nodes: {sorted(extra)}")
+        if type(universe) is tuple:
+            self._covers = universe
 
     def block_of(self, node: str) -> int:
         try:
@@ -148,6 +159,14 @@ def canonical_form(p: Partition) -> bytes:
 
 def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace(",", "\\,").replace("|", "\\|")
+
+
+def _index_blocks(g, p: Partition) -> list[list[int]]:
+    # The one way a partition enters an engine: p must cover exactly the
+    # Multigraph g's nodes, and its blocks are returned as graph indices.
+    p.check_cover(g.labels)
+    index = g.index_of
+    return [[index(u) for u in block] for block in p.blocks]
 
 
 def _check_move(p: Partition, mv: Move) -> None:
@@ -385,7 +404,9 @@ class _IndexState:
         blocks: list[list[str]] = [[] for _ in self.size]
         for label, b in zip(self.labels, self.block):
             blocks[b].append(label)
-        return Partition(blocks)
+        p = Partition(blocks)
+        p._covers = self.labels  # the graph's label tuple, each placed once
+        return p
 
 
 class _CallbackState:

@@ -484,6 +484,40 @@ class TestBoundaryValidation:
         with pytest.raises(PartitionError, match="cover"):
             alpha_sweep(example1, [example1_split, partial])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, p: potential(AlphaModel(frac("1/2")), g, p),
+            lambda g, p: potential(Modularity(), g, p),
+            lambda g, p: hedonic.potential_form(g, p),
+            lambda g, p: partition_threshold(g, p, Partition.singletons(g.labels)),
+            lambda g, p: partition_threshold(g, Partition.singletons(g.labels), p),
+        ],
+        ids=["potential-alpha", "potential-modularity", "potential-form", "threshold-first", "threshold-second"],
+    )
+    def test_potentials_refuse_a_partition_that_does_not_cover(self, example1, call):
+        # Before, the partial split read potential 1/2, form (1, -1) and a
+        # threshold of 1 against the 3/3 split.
+        with pytest.raises(PartitionError, match="cover"):
+            call(example1, Partition([{"A", "B"}]))
+        with pytest.raises(PartitionError, match="unknown"):
+            call(example1, Partition([set(example1.labels) | {"Z"}]))
+
+    def test_sweep_checks_its_range_grid_and_starts_in_both_modes(self, example1, example1_split):
+        for bad in ((Fraction(1, 2),), (0, Fraction(1, 2), 1), Fraction(1, 2), "01"):
+            with pytest.raises(ValueError, match="pair"):
+                alpha_sweep(example1, alpha_range=bad, grid=2)
+            with pytest.raises(ValueError, match="pair"):
+                alpha_sweep(example1, [example1_split], alpha_range=bad)
+        for grid in (True, -3, 0, 2.0):
+            with pytest.raises(ValueError, match="grid"):
+                alpha_sweep(example1, [example1_split], grid=grid)
+        with pytest.raises(ValueError, match="starts"):
+            alpha_sweep(example1, [example1_split], starts=[example1_split])
+        with pytest.raises(ValueError, match="starts"):
+            alpha_sweep(example1, [example1_split], starts=[])
+        assert alpha_sweep(example1, [example1_split], alpha_range=[0, Fraction(1, 2)], grid=3).rows
+
     def test_degree_normalized_refuses_an_isolated_node_when_bound(self):
         g = Multigraph([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "d"])
         vf = Modularity(beta=None)

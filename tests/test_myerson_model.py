@@ -845,7 +845,8 @@ class TestTableCache:
     def test_external_check_derives_each_entered_block(self, searched):
         # Two beneficial entries are blocked by an incumbent before an
         # unblocked one is found. Each entered block's table is grown from
-        # a copy of the block's own, so no block is searched twice.
+        # a copy of the block's own, so no block is searched twice, and the
+        # copies stay private: the cache keeps the partition's blocks only.
         g = parse_edge_list(PLANTED.read_text())
         p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
         r = Fraction(1, 2)
@@ -858,6 +859,34 @@ class TestTableCache:
         assert entry is not None and len(entered) == 3
         model = MyersonModel.bind(g, r)
         assert model.external_stability(p) == (False, entry)
-        assert all(block in model.tables for block in entered)
+        assert set(model.tables) == set(p.blocks)
         assert not set(entered) & set(searched)
         assert len(searched) == len(set(searched))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_only_lookups_and_accepted_moves_write_the_cache(self, data):
+        # The external check keeps its joined copies private, so after any
+        # sequence of calls on one model every cached table is of a block
+        # of a partition passed in or of a run's final partition.
+        if data.draw(st.booleans()):
+            g = data.draw(graphs(max_nodes=7))
+            given_partitions = partitions(g)
+        else:
+            g = parse_edge_list(PLANTED.read_text())
+            given_partitions = st.sampled_from(["planted30_blocked.json", "planted30_split.json"]).map(
+                lambda name: partition_from_json((DATA / name).read_text(), universe=g.labels)
+            )
+        model = MyersonModel.bind(g, data.draw(DISCOUNTS))
+        calls = st.sampled_from(["better_response", "nash_stable", "external_stability"])
+        allowed = set()
+        for call in data.draw(st.lists(calls, min_size=1, max_size=4)):
+            p = data.draw(given_partitions)
+            allowed |= set(p.blocks)
+            if call == "better_response":
+                steps = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+                final, _ = model.better_response(p, Schedule(max_steps=steps))
+                allowed |= set(final.blocks)
+            else:
+                getattr(model, call)(p)
+            assert set(model.tables) <= allowed

@@ -59,6 +59,21 @@ class TestPartition:
         with pytest.raises(PartitionError, match="unknown"):
             Partition([{"A", "B"}], universe={"A"})
 
+    def test_only_a_tuple_found_covered_is_remembered(self):
+        # A tuple cannot change, so a second check against the same one is
+        # skipped; a list can, so it is checked every time.
+        p = Partition([{"A", "B"}])
+        labels = ["A", "B"]
+        p.check_cover(labels)
+        labels.append("C")
+        with pytest.raises(PartitionError, match="cover"):
+            p.check_cover(labels)
+        with pytest.raises(PartitionError, match="cover"):
+            p.check_cover(("A", "B", "C"))
+        p.check_cover(("A", "B"))
+        with pytest.raises(PartitionError, match="unknown"):
+            p.check_cover(("A",))
+
     def test_equality_ignores_block_order(self):
         assert Partition([{"A", "B"}, {"C"}]) == Partition([{"C"}, {"B", "A"}])
         assert Partition([{"A"}, {"B"}]) != Partition([{"A", "B"}])
@@ -154,6 +169,16 @@ class TestApplyMove:
     def test_move_target_must_differ(self):
         with pytest.raises(PartitionError, match="equals source"):
             Move("A", 0, 0)
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(0, True), (True, 0), (False, None), (0, 1.0), (0, "1"), (1.0, 0), ("0", None), (None, 0)],
+    )
+    def test_move_indices_must_be_ints(self, source, target):
+        # A bool would be read as block 0 or 1, and a float or string would
+        # escape as a TypeError from the block lookup.
+        with pytest.raises(PartitionError, match="must be an int"):
+            Move("A", source, target)
 
     def test_cover_preserved_random(self):
         rng = random.Random(3)
