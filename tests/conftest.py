@@ -9,8 +9,10 @@ graph. reference_node_path_counts keeps the library's former cubic
 containment loop as a second, independent reference, and
 reference_containment the Myerson model's former all-pairs count of the
 geodesics through one node, reference_entry the block table's former row
-walk for a joining node, and reference_envelope the alpha sweep's former
-envelope in Fractions. assert_skips_only_losing_deviations checks
+walk for a joining node, reference_envelope the alpha sweep's former
+envelope in Fractions, and reference_sweep_candidates its former
+discovery, every start run at every grid point.
+assert_skips_only_losing_deviations checks
 a dynamics state's deviations against every move enumerate_deviations
 lists.
 """
@@ -24,7 +26,9 @@ from fractions import Fraction
 import pytest
 
 from coopgraph import (
+    AlphaModel,
     CharPoly,
+    HedonicModel,
     Multigraph,
     Partition,
     canonical_form,
@@ -32,7 +36,9 @@ from coopgraph import (
     induced_subgraph,
     load_dataset,
 )
+from coopgraph.hedonic import _BlockState
 from coopgraph.multigraph import NodePathProfile, _bfs_counts
+from coopgraph.partition import run_schedule
 
 
 @pytest.fixture(scope="session")
@@ -310,6 +316,20 @@ def reference_envelope(forms, lo, hi):
         if cut >= hi:
             return rows
         a = cut
+
+
+def reference_sweep_candidates(g: Multigraph, starts, grid: int, lo, hi) -> list[Partition]:
+    """Every partition a traced better-response run reaches from each
+    start (the given ones, then singletons and the grand coalition) at
+    each of the grid + 1 evenly spaced alphas of [lo, hi], each bound
+    afresh, sorted by canonical form."""
+    found = {}
+    for j in range(grid + 1):
+        model = HedonicModel.bind(AlphaModel(lo + (hi - lo) * Fraction(j, grid)), g)
+        for s in [*starts, Partition.singletons(g.labels), Partition.grand(g.labels)]:
+            final, _ = run_schedule(_BlockState(model, s))
+            found.setdefault(canonical_form(final), final)
+    return [found[key] for key in sorted(found)]
 
 
 def assert_skips_only_losing_deviations(p: Partition, deviations, gain, den: int) -> None:

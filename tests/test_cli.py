@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopgraph import MyersonModel, Partition, component_characteristic, load_dataset
+from coopgraph import MyersonModel, Partition, alpha_sweep, component_characteristic, load_dataset
 from coopgraph.cli import cli_dispatch
 from coopgraph.datasets import karate_split_15_19
 from coopgraph.reports import (
@@ -18,6 +18,7 @@ from coopgraph.reports import (
     parse_rational,
     partition_to_json,
     partition_from_json,
+    sweep_to_csv,
 )
 
 
@@ -506,6 +507,16 @@ class TestSweepCommand:
         )
         assert code == 0
         assert out.count("\n") >= 3  # header + at least two rows
+
+
+    def test_a_grid_of_ten_thousand_gives_the_library_table(self, capsys, tmp_path):
+        out_path = tmp_path / "table.csv"
+        code, _, err = run(
+            capsys, "sweep", "--graph", "example2", "--grid", "10000", "--out", str(out_path)
+        )
+        assert code == 0, err
+        table = alpha_sweep(load_dataset("example2"), grid=10000)
+        assert out_path.read_text() == sweep_to_csv(table)
 
 
 class TestDatasetCommand:

@@ -1,7 +1,11 @@
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopgraph import (
     AlphaModel,
@@ -34,9 +38,9 @@ from coopgraph.datasets import (
     karate_split_17_17,
 )
 from coopgraph.hedonic import _BlockState
-from coopgraph.partition import run_schedule
+from coopgraph.partition import settle
 
-from conftest import random_multigraph, random_partition
+from conftest import random_multigraph, random_partition, reference_sweep_candidates
 
 
 def frac(s):
@@ -385,19 +389,13 @@ class TestAlphaSweep:
             alpha_sweep(example1, alpha_range=(frac("1/2"), frac("1/4")))
 
     def test_discovery_builds_no_trace(self, monkeypatch):
-        # The reference discovery loop runs every start to a traced
+        # The reference discovery runs every start to a traced
         # run_schedule; the sweep's own discovery may build no Move and no
         # TraceStep, yet finds the same table.
         g = random_multigraph(random.Random(5), 12, edge_prob=0.3, connected=True)
         lo, hi, grid = frac("1/3"), frac("5/7"), 6
         starts = [random_partition(random.Random(6), g.labels)]
-        found = {}
-        for j in range(grid + 1):
-            model = HedonicModel.bind(AlphaModel(lo + (hi - lo) * Fraction(j, grid)), g)
-            for s in starts + [Partition.singletons(g.labels), Partition.grand(g.labels)]:
-                final, _ = run_schedule(_BlockState(model, s))
-                found.setdefault(canonical_form(final), final)
-        expected = alpha_sweep(g, [found[key] for key in sorted(found)], alpha_range=(lo, hi))
+        expected = alpha_sweep(g, reference_sweep_candidates(g, starts, grid, lo, hi), alpha_range=(lo, hi))
         assert len(expected.rows) > 1
 
         def refuse(*args, **kwargs):
@@ -408,6 +406,116 @@ class TestAlphaSweep:
         # partition.run_schedule is the only builder of trace steps.
         monkeypatch.setattr(partition, "TraceStep", refuse)
         assert alpha_sweep(g, starts=starts, grid=grid, alpha_range=(lo, hi)) == expected
+
+    def test_a_start_equal_to_an_earlier_one_adds_no_run(self, example2):
+        labels = example2.labels
+        split = example2_clique_partition()
+        with recorded_runs() as runs:
+            table = alpha_sweep(example2, grid=4)
+        with recorded_runs() as doubled:
+            starts = [Partition.singletons(labels), Partition.grand(labels)]
+            assert alpha_sweep(example2, starts=starts, grid=4) == table
+        assert len(doubled) == len(runs)
+        with recorded_runs() as runs:
+            table = alpha_sweep(example2, starts=[split], grid=4)
+        with recorded_runs() as doubled:
+            assert alpha_sweep(example2, starts=[split, Partition(split.blocks)], grid=4) == table
+        assert len(doubled) == len(runs)
+
+    def test_a_large_grid_costs_runs_not_grid_points(self, karate):
+        # Every run from singletons or the grand coalition covers the grid
+        # points up to the first one where some comparison it made flips;
+        # without skipping, grid 10**4 would take 20002 runs.
+        with recorded_runs() as runs:
+            table = alpha_sweep(karate, grid=10**4)
+        assert len(runs) <= 120
+        assert (table.rows[0].alpha_lo, table.rows[-1].alpha_hi) == (0, 1)
+
+    def test_discovery_builds_no_fraction_per_comparison(self, karate, monkeypatch):
+        made = 0
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                nonlocal made
+                made += 1
+                return super().__new__(cls, *args, **kwargs)
+
+        compared = 0
+        deviations = _BlockState.deviations
+
+        def counted(state, i):
+            nonlocal compared
+            for deviation in deviations(state, i):
+                compared += 1
+                yield deviation
+
+        monkeypatch.setattr(hedonic, "Fraction", Counted)
+        monkeypatch.setattr(_BlockState, "deviations", counted)
+        with recorded_runs() as runs:
+            table = alpha_sweep(karate, grid=200)
+        # One alpha per grid point run and three bounds per row, while
+        # the runs compare gains thousands of times.
+        assert made <= len(runs) + 3 * len(table.rows)
+        assert compared > 20 * (len(runs) + 3 * len(table.rows))
+
+
+@contextlib.contextmanager
+def recorded_runs():
+    """Record every run alpha_sweep discovery settles, as (start, state)
+    with the start read before the run."""
+    runs = []
+    real = hedonic.settle
+
+    def record(state, *args):
+        start = state.partition()
+        status = real(state, *args)
+        runs.append((start, state))
+        return status
+
+    with mock.patch.object(hedonic, "settle", record):
+        yield runs
+
+
+def _moves(state):
+    return [(node, source, target) for node, source, target, _ in state.log]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 14),
+    st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2, unique=True),
+    st.integers(1, 37),
+    st.booleans(),
+)
+def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, grid, extra):
+    # The table is the envelope of what the reference discovery finds, and
+    # at every grid point a run covered without running there, a plain run
+    # from the same start makes exactly that run's moves.
+    lo, hi = sorted(ends)
+    rng = random.Random(seed)
+    g = random_multigraph(rng, n, edge_prob=rng.random(), max_mult=2)
+    starts = [random_partition(rng, g.labels)] if extra else []
+    with recorded_runs() as runs:
+        table = alpha_sweep(g, starts=starts or None, grid=grid, alpha_range=(lo, hi))
+    reference = reference_sweep_candidates(g, starts, grid, lo, hi)
+    assert table == alpha_sweep(g, reference, alpha_range=(lo, hi))
+
+    def alpha(j):
+        return lo + (hi - lo) * Fraction(j, grid)
+
+    covered = {}
+    for start, state in runs:
+        assert state.model.vf.alpha == alpha(state.here)
+        for j in range(state.here + 1, state.reach + 1):
+            plain = _BlockState(HedonicModel.bind(AlphaModel(alpha(j)), g), start)
+            settle(plain)
+            assert _moves(plain) == _moves(state)
+        points = covered.setdefault(canonical_form(start), [])
+        points.extend(range(state.here, state.reach + 1))
+    # Each distinct start is run once per stretch of grid points it needs.
+    for s in [*starts, Partition.singletons(g.labels), Partition.grand(g.labels)]:
+        assert covered[canonical_form(s)] == list(range(grid + 1))
 
 
 class TestBruteForce:
