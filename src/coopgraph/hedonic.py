@@ -243,8 +243,11 @@ class _BlockState(_IndexState):
         grid line = (u, v, w), whose point r is alpha (u + v r) / w, and
         lower reach until each comparison comes out there as at this
         run's point, here. A comparison is the sign of a line in alpha,
-        so from here up to reach the run makes the same moves. The model
-        must be the alpha model at point here (so c_i = 1)."""
+        so from here up to reach a first-improvement run (round-robin or
+        random, which only test gain > 0) makes the same moves; a
+        GREEDY_BEST run also compares gains with each other, which is not
+        tracked. The model must be the alpha model at point here (so
+        c_i = 1)."""
         self.line, self.here, self.reach = line, here, reach
         if reach > here:
             self.far = (line[2], line[0] + line[1] * reach)
@@ -393,9 +396,10 @@ def alpha_sweep(
     Explicit candidate partitions are enveloped directly. Otherwise
     candidates are discovered by running better_response from each
     distinct start (the given ones, then singletons and the grand
-    coalition) at grid+1 evenly spaced rational alphas, skipping the grid
-    points an earlier run from the same start covers (see the module
-    docstring), then enveloped. Breakpoints are exact rationals.
+    coalition; starts are equal when they list the same blocks in the
+    same order, since block order steers a run) at grid+1 evenly spaced
+    rational alphas, skipping the grid points an earlier run from the
+    same start covers (see the module docstring), then enveloped. Breakpoints are exact rationals.
     Every candidate and start must cover exactly g's nodes. In both modes
     ValueError is raised unless alpha_range is a pair (lo, hi) with
     0 <= lo < hi <= 1 and grid is an int of at least 1 (a bool is not);
@@ -418,10 +422,12 @@ def alpha_sweep(
         if not cands:
             raise ValueError("candidate partition set is empty")
     else:
-        # A start equal to an earlier one would only repeat its runs.
-        base: dict[bytes, Partition] = {}
+        # A start with the same blocks in the same order as an earlier one
+        # would only repeat its runs; block order steers a run, so a start
+        # that only lists its blocks in another order is kept.
+        base: dict[tuple, Partition] = {}
         for s in [*(starts or ()), Partition.singletons(g.labels), Partition.grand(g.labels)]:
-            base.setdefault(canonical_form(s), s)
+            base.setdefault(s.blocks, s)
         # Grid point j is alpha (u + v j) / w. covered[k] is the last grid
         # point the runs from start k have covered: a run at j tracks its
         # comparisons up to the reach it returns, and discovery goes on at

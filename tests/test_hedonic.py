@@ -422,6 +422,26 @@ class TestAlphaSweep:
             assert alpha_sweep(example2, starts=[split, Partition(split.blocks)], grid=4) == table
         assert len(doubled) == len(runs)
 
+    def test_a_start_listing_its_blocks_in_another_order_is_run(self):
+        # The centre of the path b - a - c joins the first linked singleton
+        # in block order, so the two orders of the singletons end apart
+        # and the reversed start does not stand in for the default one.
+        g = Multigraph([("a", "b"), ("a", "c")])
+        reverse = Partition.singletons(reversed(g.labels))
+        model = HedonicModel.bind(AlphaModel(frac("3/4")), g)
+        ends = set()
+        for s in (Partition.singletons(g.labels), reverse):
+            state = _BlockState(model, s)
+            settle(state)
+            ends.add(canonical_form(state.partition()))
+        assert len(ends) == 2
+        reference = reference_sweep_candidates(g, [reverse], 10, Fraction(0), Fraction(1))
+        with recorded_runs() as runs:
+            assert alpha_sweep(g, starts=[reverse], grid=10) == alpha_sweep(g, reference)
+        assert {start.blocks for start, _ in runs} == {
+            reverse.blocks, Partition.singletons(g.labels).blocks, Partition.grand(g.labels).blocks
+        }
+
     def test_a_large_grid_costs_runs_not_grid_points(self, karate):
         # Every run from singletons or the grand coalition covers the grid
         # points up to the first one where some comparison it made flips;
@@ -486,16 +506,21 @@ def _moves(state):
     st.integers(1, 14),
     st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2, unique=True),
     st.integers(1, 37),
-    st.booleans(),
+    st.sampled_from([None, "random", "reversed"]),
 )
 def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, grid, extra):
     # The table is the envelope of what the reference discovery finds, and
     # at every grid point a run covered without running there, a plain run
-    # from the same start makes exactly that run's moves.
+    # from the same start makes exactly that run's moves. The extra start
+    # is random, or the singletons in reverse block order.
     lo, hi = sorted(ends)
     rng = random.Random(seed)
     g = random_multigraph(rng, n, edge_prob=rng.random(), max_mult=2)
-    starts = [random_partition(rng, g.labels)] if extra else []
+    starts = {
+        None: [],
+        "random": [random_partition(rng, g.labels)],
+        "reversed": [Partition.singletons(reversed(g.labels))],
+    }[extra]
     with recorded_runs() as runs:
         table = alpha_sweep(g, starts=starts or None, grid=grid, alpha_range=(lo, hi))
     reference = reference_sweep_candidates(g, starts, grid, lo, hi)
@@ -511,11 +536,12 @@ def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, gr
             plain = _BlockState(HedonicModel.bind(AlphaModel(alpha(j)), g), start)
             settle(plain)
             assert _moves(plain) == _moves(state)
-        points = covered.setdefault(canonical_form(start), [])
+        points = covered.setdefault(start.blocks, [])
         points.extend(range(state.here, state.reach + 1))
-    # Each distinct start is run once per stretch of grid points it needs.
+    # Each distinct start (its blocks in order) is run once per stretch of
+    # grid points it needs.
     for s in [*starts, Partition.singletons(g.labels), Partition.grand(g.labels)]:
-        assert covered[canonical_form(s)] == list(range(grid + 1))
+        assert covered[s.blocks] == list(range(grid + 1))
 
 
 class TestBruteForce:
