@@ -13,7 +13,8 @@ over those links. Every count is a _bfs over them: a joining node's is
 one BFS from the node, and a shrunk table's rows are searched again.
 coalition_path_counts sums its counts per distance; node_path_counts
 reads all members' containment vectors (_containments), a Myerson
-payoff one member's (_containment).
+payoff one node's (_BlockTable.counts), in the layout of
+NodePathProfile.
 """
 
 from __future__ import annotations
@@ -291,23 +292,35 @@ class _BlockTable:
     """One coalition's member positions (pos maps graph index to row),
     links (adj[a] maps row to multiplicity), geodesic counts and distance
     buckets, its only record of distance: rows[a][d] for d >= 1,
-    rows[a][0] the members a cannot reach. paid holds the Myerson payoffs
-    already derived, keyed by graph index and scaled by the model's
-    denominator: a member's in the coalition, an outsider's in the
-    coalition it would join. stash holds the last outsider join
-    computed, (i, si, level, pairs, link) from join, for a grow by i to
-    read. grow and shrink drop both, and a grown copy ends with
-    neither."""
+    rows[a][0] the members a cannot reach. vectors holds the containment
+    vectors counts has derived, keyed by graph index; they depend on no
+    discount. stash holds the last outsider join computed, (i, si,
+    level, pairs, link) from join, for a grow by i to read. grow and
+    shrink drop both, and a grown copy ends with neither."""
 
-    __slots__ = ("pos", "adj", "sigma", "rows", "paid", "stash")
+    __slots__ = ("pos", "adj", "sigma", "rows", "vectors", "stash")
 
     def __init__(self, pos: dict[int, int], adj: list[dict], sigma: list[list[int]], rows: list[list[set]]):
         self.pos = pos
         self.adj = adj
         self.sigma = sigma
         self.rows = rows
-        self.paid: dict[int, int] = {}
+        self.vectors: dict[int, list[int]] = {}
         self.stash: Optional[tuple] = None
+
+    def counts(self, i: int, links: dict[int, int]) -> list[int]:
+        """Graph index i's containment vector in the coalition joined by
+        i (index k-1 counts the length-k geodesics through i): a member's
+        from its own row, an outsider's from its join with these links."""
+        v = self.vectors.get(i)
+        if v is None:
+            a = self.pos.get(i)
+            if a is None:
+                v = _containment(*self.join(i, links)[1:4])
+            else:
+                v = _containment(self.sigma[a], self.rows[a], _through(self.rows, self.rows[a]))
+            self.vectors[i] = v
+        return v
 
     def join(self, i: int, links: dict[int, int]) -> tuple:
         """The stash for outside node i with these (graph index ->
@@ -358,7 +371,7 @@ class _BlockTable:
         rows.append(level)
         adj.append(link)
         self.pos[i] = q
-        self.paid.clear()
+        self.vectors.clear()
         self.stash = None
 
     def shrink(self, g: Multigraph, node: str) -> None:
@@ -421,7 +434,7 @@ class _BlockTable:
             rows[s], sigma[s] = _buckets(ds), ss
             for row, c in zip(sigma, ss):
                 row[s] = c
-        self.paid.clear()
+        self.vectors.clear()
         self.stash = None
 
     def grown(self, g: Multigraph, node: str) -> "_BlockTable":
@@ -500,14 +513,14 @@ def _through(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
 
 
 def _containment(si: list[int], level: list[set], pairs: Iterable[tuple]) -> list[int]:
-    # Per length, the geodesics containing node i: sigma(i, t) per member
-    # t and sigma(s, i) sigma(i, t) per pair, from _through when i is a
-    # member and _detours otherwise. Counts are doubled, and a pair met
-    # from both ends adds once from each.
+    # Per length k, at k-1, the geodesics containing node i: sigma(i, t)
+    # per member t and sigma(s, i) sigma(i, t) per pair, from _through
+    # when i is a member and _detours otherwise. Counts are doubled, and
+    # a pair met from both ends adds once from each.
     get = si.__getitem__
-    counts = [0] + [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * len(level)
+    counts = [2 * sum(map(get, ring)) for ring in level[1:]] + [0] * (len(level) - 1)
     for s, a, _, b, near in pairs:
-        counts[a + b] += (1 if b == a else 2) * si[s] * sum(map(get, near))
+        counts[a + b - 1] += (1 if b == a else 2) * si[s] * sum(map(get, near))
     return [c // 2 for c in counts]
 
 

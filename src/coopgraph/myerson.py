@@ -8,19 +8,13 @@ kept as an exponential-size oracle for cross-checking.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
 r), which caches one geodesic table per block (multigraph._BlockTable,
-the table node_path_counts reads). From it:
-
-* a member i's payoff counts, per length k, the geodesics of the block
-  that contain i (multigraph._containment; for a pair s, t only the
-  bucket at d(s, i) + d(i, t) is read);
-* a node i joining block T needs no table of T + {i}: its distances and
-  counts come from one BFS from i over T's links and its own. In a block
-  it has no link to, or a fresh one, i is isolated and paid 0, never
-  more than now: dynamics and the external check value only the blocks i
-  links to.
-
-MyersonModel.payoff serves both and remembers each value per (block,
-node) in the table's paid dict, until the table changes.
+the table node_path_counts reads). The table gives any node's count
+vector of the geodesics through it in the block it would join, and
+remembers it until the table changes; a joining node needs no table of
+the joined block. The vectors do not depend on r: the model only weighs
+them. In a block it has no link to, or a fresh one, a node is isolated
+and paid 0, never more than now: dynamics and the external check value
+only the blocks it links to.
 
 A table has one lifecycle: it is searched on a miss, grown in place when
 better response accepts a join into its block, shrunk in place when it
@@ -35,8 +29,9 @@ and any other join computes its own. Growing or shrinking drops the
 stash; a grown copy copies one held for its entrant.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
-integer over one common denominator; dynamics build a Fraction only for
-a trace step, when a trace is asked for. Report allocations come from
+integer over one common denominator: the dot product of c with the
+model's weights. Dynamics build a Fraction only for a trace step, when
+a trace is asked for. Report allocations come from
 node_path_counts, which searches a table of its own (the benchmark
 traces that call) and counts all members at once.
 
@@ -47,6 +42,7 @@ cycle key: the set of the block frozensets.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -57,8 +53,6 @@ from .multigraph import (
     _BlockTable,
     _bfs_counts,
     _block_table,
-    _containment,
-    _through,
     coalition_path_counts,
     node_path_counts,
 )
@@ -283,8 +277,9 @@ def _check_r(r) -> Fraction:
 class MyersonModel:
     """A graph and a discount r bound for exact Myerson gains.
 
-    Payoffs are integers over den: weights[k] = den r^k / (k+1) for every
-    geodesic length k < max(n, 1). Block tables are built on first use;
+    Payoffs are integers over den: weights[k-1] = den r^k / (k+1) for
+    every geodesic length 1 <= k < n, the model's one use of r. Block
+    tables, which hold r-free count vectors, are built on first use;
     hits and misses count table lookups. better_response keeps the
     tables of the live blocks only, and external_stability caches no
     joined block, so every cached table is of a block of a partition
@@ -306,7 +301,7 @@ class MyersonModel:
         top = max(g.n, 1) - 1
         a, b = r.numerator, r.denominator
         scale = math.lcm(*range(1, top + 2))
-        weights = tuple(scale // (k + 1) * a**k * b ** (top - k) for k in range(top + 1))
+        weights = tuple(scale // (k + 1) * a**k * b ** (top - k) for k in range(1, top + 1))
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
@@ -320,10 +315,6 @@ class MyersonModel:
             self.hits += 1
         return t
 
-    def _scaled(self, counts: list[int]) -> int:
-        w = self.weights
-        return sum(c * w[k] for k, c in enumerate(counts) if c)
-
     def payoff(self, block: frozenset, node: str) -> int:
         """den times the node's payoff in the block joined by the node: a
         member's from its own row, an outsider's from its links into the
@@ -331,16 +322,8 @@ class MyersonModel:
         return self._value(self.table(block), self.g.index_of(node))
 
     def _value(self, t: _BlockTable, i: int) -> int:
-        # payoff on a table and a graph index, remembered in t.paid.
-        v = t.paid.get(i)
-        if v is None:
-            a = t.pos.get(i)
-            if a is None:
-                counts = _containment(*t.join(i, self.g.adjacency[i])[1:4])
-            else:
-                counts = _containment(t.sigma[a], t.rows[a], _through(t.rows, t.rows[a]))
-            v = t.paid[i] = self._scaled(counts)
-        return v
+        # payoff on a table and a graph index, from its count vector.
+        return sum(map(operator.mul, t.counts(i, self.g.adjacency[i]), self.weights))
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
         """The moving node's payoff in the joined coalition minus its payoff

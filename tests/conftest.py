@@ -14,14 +14,19 @@ envelope in Fractions, and reference_sweep_candidates its former
 discovery, every start run at every grid point.
 assert_skips_only_losing_deviations checks
 a dynamics state's deviations against every move enumerate_deviations
-lists.
+lists. benchmark_suite draws a benchmark workload's graphs as
+perfbench/ draws them, reading perfbench/ only.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,8 @@ from coopgraph import (
 from coopgraph.hedonic import _BlockState
 from coopgraph.multigraph import NodePathProfile, _bfs_counts
 from coopgraph.partition import run_schedule
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +66,34 @@ def karate():
 @pytest.fixture
 def example1_split():
     return Partition([{"A", "B", "C"}, {"D", "E", "F"}])
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded under a name of its own and without
+    writing bytecode there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+def benchmark_suite(workload: str) -> list[list[tuple]]:
+    """The (u, v, w) edge lists of a benchmark workload's default-seed
+    suite, graph i drawn by perfbench/planted.py from "<seed>.<i>"."""
+    planted = perfbench_module("planted")
+    manifest = json.loads((PERFBENCH / "workloads.json").read_text())
+    spec = manifest["workloads"][workload]
+    gen = spec["generator"]
+    return [
+        planted.planted_edges(
+            gen["n"], gen["groups"], gen["p_in"], gen["p_out"], gen["max_mult"], f"{manifest['default_seed']}.{i}"
+        )
+        for i in range(spec["graphs"])
+    ]
 
 
 def random_multigraph(rng: random.Random, n: int, edge_prob=0.4, max_mult=3, connected=False):
@@ -240,24 +275,25 @@ def reference_allocation(g: Multigraph, coalition) -> dict[str, CharPoly]:
 
 
 def reference_containment(dist, di, si):
-    """Per length, the geodesics of a block containing node i, by a scan of
-    every pair of the block's members: dist is the block's all-pairs hop
-    distance table (-1 across components), di and si are i's hop
-    distances and geodesic counts to the members (i itself at distance 0
-    when it is a member). A pair (i, t) counts sigma(i, t); a pair s, t
-    counts sigma(s, i) sigma(i, t) when the route through i is no longer
-    than d(s, t) or s and t are disconnected."""
+    """Per length k, at index k-1, the geodesics of a block containing
+    node i, by a scan of every pair of the block's members: dist is the
+    block's all-pairs hop distance table (-1 across components), di and
+    si are i's hop distances and geodesic counts to the members (i
+    itself at distance 0 when it is a member). A pair (i, t) counts
+    sigma(i, t); a pair s, t counts sigma(s, i) sigma(i, t) when the
+    route through i is no longer than d(s, t) or s and t are
+    disconnected."""
     reach = [t for t, d in enumerate(di) if d > 0]
     if not reach:
         return []
-    counts = [0] * (2 * max(di[t] for t in reach) + 1)
+    counts = [0] * (2 * max(di[t] for t in reach))
     for t in reach:
-        counts[di[t]] += si[t]
+        counts[di[t] - 1] += si[t]
     for x, s in enumerate(reach):
         for t in reach[x + 1 :]:
             length = di[s] + di[t]
             if dist[s][t] < 0 or length <= dist[s][t]:
-                counts[length] += si[s] * si[t]
+                counts[length - 1] += si[s] * si[t]
     return counts
 
 

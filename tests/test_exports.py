@@ -4,6 +4,7 @@ import pkgutil
 from pathlib import Path
 
 import coopgraph
+from coopgraph.multigraph import _BlockTable
 
 PACKAGE = Path(coopgraph.__file__).resolve().parent
 
@@ -75,6 +76,34 @@ def test_every_private_helper_has_a_caller():
                 if node.name not in elsewhere | _references(tree, skip=node):
                     dead.append(f"{module}:{node.name}")
     assert dead == []
+
+
+TABLE_HELPERS = {"_containment", "_through", "_detours", "_containments", "_buckets"}
+
+
+def test_only_multigraph_knows_the_block_table_layout():
+    # Other modules use a block table through its methods: they import
+    # none of the geodesic helpers behind them and read none of its
+    # fields. A SweepTable's rows share a field's name; a read from a
+    # parameter annotated SweepTable is that field.
+    fields = set(_BlockTable.__slots__)
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "multigraph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sweeps = {
+            node.arg
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and isinstance(node.annotation, ast.Name) and node.annotation.id == "SweepTable"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                leaks += [f"{path.name}:{node.lineno}:{a.name}" for a in node.names if a.name in TABLE_HELPERS]
+            elif isinstance(node, ast.Attribute) and node.attr in fields:
+                if not (isinstance(node.value, ast.Name) and node.value.id in sweeps):
+                    leaks.append(f"{path.name}:{node.lineno}:.{node.attr}")
+    assert leaks == []
 
 
 def test_no_float_enters_the_package():

@@ -51,14 +51,15 @@ from coopgraph import (
     parse_edge_list,
     run_dynamics,
 )
-from coopgraph import myerson
-from coopgraph.multigraph import _BlockTable, _containments, _detours, _through
-from coopgraph.myerson import _block_table, _containment
+from coopgraph import multigraph, myerson
+from coopgraph.multigraph import _BlockTable, _containment, _containments, _detours, _through
+from coopgraph.myerson import _block_table
 from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
 
 from conftest import (
     assert_skips_only_losing_deviations,
+    benchmark_suite,
     brute_force_profiles,
     reference_allocation,
     reference_containment,
@@ -160,7 +161,7 @@ def test_one_accumulation_counts_what_each_members_scan_counts():
             assert len(got) == len(rows)
             for a, row in enumerate(rows):
                 assert len(got[a]) == max(map(len, rows)) - 1
-                want = _containment(table.sigma[a], row, _through(rows, row))[1:]
+                want = _containment(table.sigma[a], row, _through(rows, row))
                 assert without_trailing_zeros(got[a]) == without_trailing_zeros(want)
 
         compare()
@@ -396,13 +397,13 @@ def test_shrinking_splits_and_empties_a_block(edges, leaving):
     block = frozenset(g.labels)
     table = _block_table(g, block)
     for node in leaving:
-        # Payoffs remembered for every member and every node that has left.
-        table.paid.update(dict.fromkeys(range(g.n), 1))
+        # Vectors remembered for every member and every node that has left.
+        table.vectors.update(dict.fromkeys(range(g.n), [1]))
         table.shrink(g, node)
         block -= {node}
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
-        assert not table.paid
+        assert not table.vectors
     assert len(block) == len(table.rows) >= 1
 
 
@@ -457,7 +458,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
             (table.grow if node in joined else table.shrink)(g, node)
             model.tables[joined] = model.tables.pop(block)
             block = joined
-            assert table.stash is None and not table.paid
+            assert table.stash is None and not table.vectors
             assert_same_table(g, table, block)
 
         for _ in range(data.draw(st.integers(1, 4))):
@@ -498,6 +499,79 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
 
     check()
     assert seen == {"other node", "changed", "grown"}
+
+
+@SETTINGS
+@given(st.data())
+def test_a_table_filled_at_one_discount_serves_another(data):
+    # A model at r drives a block's table through payoffs, grows and
+    # shrinks, then values every node on it. A model at another discount,
+    # bound to the same tables, must read each payoff at its own r.
+    g = data.draw(graphs())
+    assume(g.n >= 2)
+    r = data.draw(DISCOUNTS)
+    first = MyersonModel.bind(g, r)
+    block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
+    table = first.table(block)
+    for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=6)):
+        first.payoff(block, node)
+        joined = block ^ {node}
+        if data.draw(st.booleans()) and joined and len(joined) < g.n:
+            (table.shrink if node in block else table.grow)(g, node)
+            first.tables[joined] = first.tables.pop(block)
+            block = joined
+    for node in g.labels:
+        first.payoff(block, node)
+    other = data.draw(DISCOUNTS.filter(lambda x: x != r))
+    second = MyersonModel.bind(g, other)
+    second.tables = first.tables
+    for node in g.labels:
+        assert second.payoff(block, node) == ref_value(g, block | {node}, node, other) * second.den
+
+
+def test_a_remembered_vector_is_the_node_path_counts_vector():
+    # On a table searched, then grown, shrunk or copied by grown in turn,
+    # every node's vector is counted and remembered: a member's must be
+    # its node_path_counts vector in the block, an outsider's its vector
+    # in the joined block, up to trailing zeros. seen records that the
+    # runs cover each kind of table.
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        g = data.draw(graphs())
+        block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
+        table = _block_table(g, block)
+
+        def compare(kind):
+            seen.add(kind)
+            for i in range(g.n):
+                table.counts(i, g.adjacency[i])
+            assert table.vectors.keys() == set(range(g.n))
+            for i, vec in table.vectors.items():
+                node = g.labels[i]
+                want = node_path_counts(g, block | {node}).counts[node]
+                assert without_trailing_zeros(vec) == without_trailing_zeros(want)
+
+        compare("searched")
+        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink", "grown"]), max_size=4)):
+            node = data.draw(st.sampled_from(g.labels))
+            if step == "shrink" and node in block and len(block) > 1:
+                table.shrink(g, node)
+                block -= {node}
+            elif step != "shrink" and node not in block:
+                if step == "grown":
+                    table = table.grown(g, node)
+                else:
+                    table.grow(g, node)
+                block |= {node}
+            else:
+                continue
+            compare(step)
+
+    check()
+    assert seen == {"searched", "grow", "shrink", "grown"}
 
 
 class CheckedState(myerson._MyersonState):
@@ -798,13 +872,37 @@ class TestTableCache:
         assert model.nash_stable(final) == (True, None)
         assert model.misses == misses
 
+    def test_the_checks_after_a_stable_run_count_no_vector(self, monkeypatch):
+        # Round-robin from singletons ends Stable on the benchmark's
+        # Myerson graphs and on karate. Its last pass valued every node in
+        # every block it links to, and the final tables remember those
+        # vectors, so neither check counts a geodesic again. At r = 1/4
+        # every run ends with one block per component, so the checks read
+        # no table; at r = 1/8 they read 538.
+        calls = []
+        containment = multigraph._containment
+        monkeypatch.setattr(multigraph, "_containment", lambda *args: calls.append(args) or containment(*args))
+        graphs = [Multigraph(edges) for edges in benchmark_suite("myerson-planted")] + [load_dataset("karate")]
+        read = 0
+        for r in [Fraction(1, 8), Fraction(1, 4)]:
+            for g in graphs:
+                model = MyersonModel.bind(g, r)
+                final, trace = model.better_response(Partition.singletons(g.labels), Schedule(policy=ROUND_ROBIN))
+                assert trace.status == STABLE and calls
+                counted, hits, misses = len(calls), model.hits, model.misses
+                assert model.nash_stable(final) == (True, None)
+                assert model.external_stability(final) == (True, None)
+                assert len(calls) == counted and model.misses == misses
+                read += model.hits - hits
+        assert read == 538
+
     def test_a_grand_coalition_values_no_payoff(self, searched, monkeypatch):
         # In a connected graph no node links outside the grand coalition,
         # so neither verifier has a join to value, nor a member payoff to
         # compare it with.
         calls = []
-        containment = myerson._containment
-        monkeypatch.setattr(myerson, "_containment", lambda *args: calls.append(args) or containment(*args))
+        containment = multigraph._containment
+        monkeypatch.setattr(multigraph, "_containment", lambda *args: calls.append(args) or containment(*args))
         g = load_dataset("karate")
         model = MyersonModel.bind(g, Fraction(1, 2))
         grand = Partition.grand(g.labels)
