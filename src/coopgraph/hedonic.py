@@ -56,11 +56,10 @@ instead of 210.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import SizeGateError, _exact
+from .errors import SizeGateError, _exact, _Record
 from .multigraph import Multigraph
 from .partition import (
     Move,
@@ -79,8 +78,7 @@ from .partition import (
 BRUTEFORCE_MAX_NODES = 10
 
 
-@dataclass(frozen=True)
-class AlphaModel:
+class AlphaModel(_Record):
     """Pair value 1 - alpha for adjacent pairs, -alpha otherwise.
 
     Adjacency is binarized: parallel edges count once. alpha in [0, 1]
@@ -95,8 +93,7 @@ class AlphaModel:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class Modularity:
+class Modularity(_Record):
     """Pair value beta_ij (A_ij - gamma d_i d_j / 2m), multiplicities kept.
 
     beta None selects the degree-normalized weights 2m / (d_i d_j);
@@ -116,8 +113,7 @@ class Modularity:
 ValueFunction = Union[AlphaModel, Modularity]
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(_Record):
     """Exact partition potential; for the alpha model also the linear form
     value = intercept + slope * alpha."""
 
@@ -126,8 +122,7 @@ class Potential:
     slope: Optional[Fraction] = None
 
 
-@dataclass(frozen=True, eq=False)
-class HedonicModel:
+class HedonicModel(_Record, eq=False):
     """A value function bound to a graph in exact integers.
 
     For graph indices i != j, pair_value = (lam * a_ij - kap * c_i * c_j) / den,
@@ -366,8 +361,7 @@ def partition_threshold(g: Multigraph, p1: Partition, p2: Partition) -> Optional
     return x if 0 <= x <= 1 else None
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One interval of the sweep: the partition whose potential dominates
     between alpha_lo and alpha_hi (endpoints closed; rows share them)."""
 
@@ -378,8 +372,7 @@ class SweepRow:
     slope: Fraction
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Record):
     rows: tuple[SweepRow, ...]
 
 
@@ -441,7 +434,7 @@ def alpha_sweep(
         j = 0
         while j <= grid:
             a = Fraction(u + v * j, w)
-            model = replace(structure, vf=AlphaModel(a), **_alpha_scalars(a))
+            model = structure._replace(vf=AlphaModel(a), **_alpha_scalars(a))
             for k, s in enumerate(base.values()):
                 if covered[k] < j:
                     state = _BlockState(model, s)

@@ -20,10 +20,9 @@ NodePathProfile.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import _INTEGER_RE, EdgeListError
+from .errors import _INTEGER_RE, EdgeListError, _Record
 
 
 class Multigraph:
@@ -260,8 +259,7 @@ def geodesic_profile(g: Multigraph):
     return dist, sigma
 
 
-@dataclass(frozen=True)
-class PathProfile:
+class PathProfile(_Record):
     """Geodesic counts of a coalition: counts[k-1] is the number of
     shortest paths of length k, summed over unordered node pairs and over
     the connected components of the induced subgraph."""
@@ -274,8 +272,7 @@ class PathProfile:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class NodePathProfile:
+class NodePathProfile(_Record):
     """Per-node geodesic containment counts for a coalition.
 
     counts[u][k-1] is the number of length-k geodesics of the induced

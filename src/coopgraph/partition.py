@@ -14,11 +14,10 @@ Potential games stop Stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Protocol
 
-from .errors import PartitionError, _exact
+from .errors import PartitionError, _exact, _Record
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "random"
@@ -30,8 +29,7 @@ CAP_REACHED = "CapReached"
 CYCLE_DETECTED = "CycleDetected"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(_Record):
     """Relocation of one node from blocks[source] to blocks[target].
 
     target None means "open a fresh block"."""
@@ -201,8 +199,7 @@ def enumerate_deviations(p: Partition, node: str) -> list[Move]:
     return moves
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Record):
     """Deviation scheduling policy for run_dynamics.
 
     Policies: round-robin (nodes in label order, first improving move),
@@ -226,16 +223,14 @@ class Schedule:
             raise PartitionError(f"max_steps must be None or a positive int, got {steps!r}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """An accepted move and the mover's exact gain."""
 
     move: Move
     gain: Fraction
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """Accepted moves of a dynamics run plus how the run stopped."""
 
     steps: tuple[TraceStep, ...]

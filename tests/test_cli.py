@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -653,3 +657,26 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "neither a dataset" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["partition", "myerson", "--r", "1/2", "--init", "singletons"], ["sweep", "--grid", "4"]],
+    ids=["partition", "sweep"],
+)
+def test_out_files_are_utf8(tmp_path, command):
+    # Inputs are read as UTF-8, so --out files are written so too: an
+    # interpreter that makes a write in the locale's encoding an error
+    # runs the command.
+    graph, out = tmp_path / "labels.edges", tmp_path / "report"
+    graph.write_bytes("a\u00e9 b\nb c\n".encode("utf-8"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "coopgraph.cli",
+         *command, "--graph", str(graph), "--out", str(out)],
+        capture_output=True, env=env, timeout=120, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    text = out.read_bytes().decode("utf-8")
+    assert "a\u00e9" in (json.loads(text)["partition"]["blocks"][0] if command[0] == "partition" else text)

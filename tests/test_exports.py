@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import coopgraph
@@ -117,3 +120,36 @@ def test_no_float_enters_the_package():
             if literal or call:
                 floats.append(f"{path.name}:{node.lineno}")
     assert floats == []
+
+
+def test_every_import_is_the_package_or_the_standard_library():
+    # stdlib-only, no runtime dependency. dataclasses would bring inspect,
+    # ast, dis and tokenize into the start of every command.
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top == "dataclasses" or top != "coopgraph" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno}:{name}")
+    assert foreign == []
+
+
+HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+
+
+def test_importing_the_cli_loads_no_introspection_module():
+    # A fresh interpreter, compared against what it had loaded before the
+    # import, so that modules the environment's site loads do not count.
+    code = "import sys; before = set(sys.modules); import coopgraph.cli; print(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True, text=True)
+    added = done.stdout.split()
+    assert "coopgraph.cli" in added
+    assert [name for name in HEAVY if name in added] == []

@@ -511,8 +511,11 @@ def _moves(state):
 def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, grid, extra):
     # The table is the envelope of what the reference discovery finds, and
     # at every grid point a run covered without running there, a plain run
-    # from the same start makes exactly that run's moves. The extra start
-    # is random, or the singletons in reverse block order.
+    # from the same start makes exactly that run's moves; so it does at
+    # random rationals between the run's point and its reach, since every
+    # comparison is the sign of a line in alpha and keeps its sign between
+    # two points where it has it. The extra start is random, or the
+    # singletons in reverse block order.
     lo, hi = sorted(ends)
     rng = random.Random(seed)
     g = random_multigraph(rng, n, edge_prob=rng.random(), max_mult=2)
@@ -529,13 +532,21 @@ def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, gr
     def alpha(j):
         return lo + (hi - lo) * Fraction(j, grid)
 
+    def plain_moves(a, start):
+        plain = _BlockState(HedonicModel.bind(AlphaModel(a), g), start)
+        settle(plain)
+        return _moves(plain)
+
     covered = {}
     for start, state in runs:
         assert state.model.vf.alpha == alpha(state.here)
         for j in range(state.here + 1, state.reach + 1):
-            plain = _BlockState(HedonicModel.bind(AlphaModel(alpha(j)), g), start)
-            settle(plain)
-            assert _moves(plain) == _moves(state)
+            assert plain_moves(alpha(j), start) == _moves(state)
+        if state.reach > state.here:
+            q = rng.randint(2, 10**4)
+            for t in (Fraction(rng.randint(1, q - 1), q), Fraction(rng.random())):
+                x = alpha(state.here) + (alpha(state.reach) - alpha(state.here)) * t
+                assert plain_moves(x, start) == _moves(state)
         points = covered.setdefault(start.blocks, [])
         points.extend(range(state.here, state.reach + 1))
     # Each distinct start (its blocks in order) is run once per stretch of
