@@ -81,11 +81,6 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
-    def _replace(self, **changes):
-        """A new record of the same class with the given fields rebound,
-        checked as any new record is."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
-
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
 

@@ -223,13 +223,14 @@ def _alpha_scalars(alpha: Fraction) -> dict:
 
 
 class _BlockState(_IndexState):
-    """The shared state with c as block weights. The potential rises by the
+    """The shared state with c as block weights, from blocks of graph
+    indices (as _index_blocks gives them). The potential rises by the
     gain at every accepted move, so no partition can repeat and no cycle
     key is kept. An alpha-model run may also track how far its moves hold
     across a grid of alphas (see track)."""
 
-    def __init__(self, model: HedonicModel, p: Partition):
-        super().__init__(model.g.labels, _index_blocks(model.g, p), model.c, model.den)
+    def __init__(self, model: HedonicModel, blocks: list[list[int]]):
+        super().__init__(model.g.labels, blocks, model.c, model.den)
         self.model = model
         self.far = None  # while tracking, lam and kap at grid point reach, scaled alike
 
@@ -333,7 +334,7 @@ def nash_stable(
     """True when no single node strictly gains by relocating to another
     block or to a fresh one; otherwise returns the first improving move in
     label and enumerate_deviations order. p must cover exactly g's nodes."""
-    return nash_scan(_BlockState(HedonicModel.bind(vf, g), p))
+    return nash_scan(_BlockState(HedonicModel.bind(vf, g), _index_blocks(g, p)))
 
 
 def better_response(
@@ -345,7 +346,7 @@ def better_response(
     The potential rises by exactly the step's gain at every accepted move
     and there are finitely many partitions, so the run always stops Stable
     (or at the step cap) and the result passes nash_stable."""
-    return run_schedule(_BlockState(HedonicModel.bind(vf, g), start), schedule)
+    return run_schedule(_BlockState(HedonicModel.bind(vf, g), _index_blocks(g, start)), schedule)
 
 
 def partition_threshold(g: Multigraph, p1: Partition, p2: Partition) -> Optional[Fraction]:
@@ -411,16 +412,16 @@ def alpha_sweep(
     if candidates is not None:
         if starts is not None:
             raise ValueError("starts apply only when candidates are discovered")
-        cands = list(candidates)
+        cands = [(_form(structure, p), p) for p in candidates]
         if not cands:
             raise ValueError("candidate partition set is empty")
     else:
         # A start with the same blocks in the same order as an earlier one
         # would only repeat its runs; block order steers a run, so a start
-        # that only lists its blocks in another order is kept.
-        base: dict[tuple, Partition] = {}
-        for s in [*(starts or ()), Partition.singletons(g.labels), Partition.grand(g.labels)]:
-            base.setdefault(s.blocks, s)
+        # that only lists its blocks in another order is kept. Each start
+        # enters as graph indices once.
+        distinct = {s.blocks: s for s in [*(starts or ()), Partition.singletons(g.labels), Partition.grand(g.labels)]}
+        base = [_index_blocks(g, s) for s in distinct.values()]
         # Grid point j is alpha (u + v j) / w. covered[k] is the last grid
         # point the runs from start k have covered: a run at j tracks its
         # comparisons up to the reach it returns, and discovery goes on at
@@ -430,30 +431,34 @@ def alpha_sweep(
                 lo.denominator * d.denominator * grid)
         u, v, w = line
         covered = [-1] * len(base)
-        found: dict[bytes, Partition] = {}
+        # (form, partition) of each new candidate, keyed by its index blocks.
+        found: dict[frozenset, tuple] = {}
         j = 0
         while j <= grid:
             a = Fraction(u + v * j, w)
-            model = structure._replace(vf=AlphaModel(a), **_alpha_scalars(a))
-            for k, s in enumerate(base.values()):
+            model = HedonicModel(AlphaModel(a), g, structure.a, structure.c, **_alpha_scalars(a))
+            for k, blocks in enumerate(base):
                 if covered[k] < j:
-                    state = _BlockState(model, s)
+                    state = _BlockState(model, blocks)
                     state.track(line, j, grid)
                     settle(state)
                     covered[k] = state.reach
-                    final = state.partition()
-                    found.setdefault(canonical_form(final), final)
+                    final = state.index_blocks()
+                    key = frozenset(map(frozenset, final))
+                    if key not in found:
+                        links, pairs = structure.within(final)
+                        found[key] = (links, -pairs), state.partition()
             j = min(covered) + 1
-        cands = [found[key] for key in sorted(found)]
-    return SweepTable(tuple(_envelope(structure, cands, lo, hi)))
+        cands = list(found.values())
+    return SweepTable(tuple(_envelope(cands, lo, hi)))
 
 
-def _envelope(structure, candidates, lo, hi):
-    # One line per distinct linear form; equal forms tie everywhere, so
-    # keep the canonically smallest partition for them.
+def _envelope(candidates, lo, hi):
+    # candidates pairs each partition's alpha-model form (intercept,
+    # slope) with the partition, in any order. One line per distinct form;
+    # equal forms tie everywhere, so keep the canonically smallest for them.
     lines: dict[tuple[int, int], Partition] = {}
-    for p in candidates:
-        form = _form(structure, p)
+    for form, p in candidates:
         if form not in lines or canonical_form(p) < canonical_form(lines[form]):
             lines[form] = p
     # Lines i + s a are compared at a = an / ad (ad > 0) as ad i + s an.

@@ -138,14 +138,16 @@ def parse_edge_list(text: bytes | str) -> Multigraph:
     Each non-comment line is "u v" or "u v w" with w a positive integer
     multiplicity; '#' starts a comment; blank lines are skipped. Repeated
     pairs accumulate multiplicity; nodes appear in first-mention order.
-    Bytes are read as UTF-8, less a leading byte-order mark.
+    Bytes are read as UTF-8; a leading byte-order mark is dropped, from
+    bytes and from text alike.
     Raises EdgeListError (with the line number) on self-loops,
     non-positive multiplicities or malformed rows.
     """
     if isinstance(text, bytes):
         # Not the utf-8-sig codec: its first use imports a module, which
         # costs about 0.4 ms, a twentieth of a small hedonic run.
-        text = text.decode("utf-8").removeprefix("\ufeff")
+        text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -289,15 +291,17 @@ class _BlockTable:
     """One coalition's member positions (pos maps graph index to row),
     links (adj[a] maps row to multiplicity), geodesic counts and distance
     buckets, its only record of distance: rows[a][d] for d >= 1,
-    rows[a][0] the members a cannot reach. vectors holds the containment
-    vectors counts has derived, keyed by graph index; they depend on no
-    discount. stash holds the last outsider join computed, (i, si,
-    level, pairs, link) from join, for a grow by i to read. grow and
-    shrink drop both, and a grown copy ends with neither."""
+    rows[a][0] the members a cannot reach. neighbours holds its graph's
+    adjacency rows, so every method takes one graph index. vectors holds
+    the containment vectors counts has derived, keyed by graph index;
+    they depend on no discount. stash holds the last outsider join
+    computed, (i, si, level, pairs, link) from join, for a grow by i to
+    read. grow and shrink drop both, and a grown copy ends with neither."""
 
-    __slots__ = ("pos", "adj", "sigma", "rows", "vectors", "stash")
+    __slots__ = ("neighbours", "pos", "adj", "sigma", "rows", "vectors", "stash")
 
-    def __init__(self, pos: dict[int, int], adj: list[dict], sigma: list[list[int]], rows: list[list[set]]):
+    def __init__(self, neighbours: tuple[dict, ...], pos: dict[int, int], adj: list[dict], sigma: list, rows: list):
+        self.neighbours = neighbours
         self.pos = pos
         self.adj = adj
         self.sigma = sigma
@@ -305,42 +309,41 @@ class _BlockTable:
         self.vectors: dict[int, list[int]] = {}
         self.stash: Optional[tuple] = None
 
-    def counts(self, i: int, links: dict[int, int]) -> list[int]:
+    def counts(self, i: int) -> list[int]:
         """Graph index i's containment vector in the coalition joined by
         i (index k-1 counts the length-k geodesics through i): a member's
-        from its own row, an outsider's from its join with these links."""
+        from its own row, an outsider's from its join."""
         v = self.vectors.get(i)
         if v is None:
             a = self.pos.get(i)
             if a is None:
-                v = _containment(*self.join(i, links)[1:4])
+                v = _containment(*self.join(i)[1:4])
             else:
                 v = _containment(self.sigma[a], self.rows[a], _through(self.rows, self.rows[a]))
             self.vectors[i] = v
         return v
 
-    def join(self, i: int, links: dict[int, int]) -> tuple:
-        """The stash for outside node i with these (graph index ->
-        multiplicity) links, computed unless already held: one BFS from i
-        over the block's links gives its geodesic counts si (i's own, 1,
-        last, as in the row it would take), the members by distance as in
-        rows, the pairs _detours finds for it, and its links by row."""
+    def join(self, i: int) -> tuple:
+        """The stash for outside graph index i, computed unless already
+        held: one BFS from i over the block's links gives its geodesic
+        counts si (i's own, 1, last, as in the row it would take), the
+        members by distance as in rows, the pairs _detours finds for it,
+        and its links by row."""
         if self.stash is None or self.stash[0] != i:
             pos = self.pos
-            link = {pos[u]: mult for u, mult in links.items() if u in pos}
+            link = {pos[u]: mult for u, mult in self.neighbours[i].items() if u in pos}
             d, si = _bfs(self.adj + [link], len(pos))
             level = _buckets(d)
             self.stash = i, si, level, list(_detours(self.rows, level)), link
         return self.stash
 
-    def grow(self, g: Multigraph, node: str) -> None:
-        """Turn this into the table of the coalition plus the node, in
-        place: its row and column are appended, and each pair _detours
-        finds gains its geodesics through the node, which replace its own
-        when shorter. Its counts, buckets, pairs and links come from
-        join, so a stash held for the node is used."""
-        i = g.index_of(node)
-        _, si, level, pairs, link = self.join(i, g.adjacency[i])
+    def grow(self, i: int) -> None:
+        """Turn this into the table of the coalition plus graph index i,
+        in place: its row and column are appended, and each pair _detours
+        finds gains its geodesics through i, which replace its own when
+        shorter. Its counts, buckets, pairs and links come from join, so a
+        stash held for i is used."""
+        _, si, level, pairs, link = self.join(i)
         sigma, rows, adj = self.sigma, self.rows, self.adj
         for s, a, d, b, near in pairs:
             length = a + b
@@ -371,15 +374,15 @@ class _BlockTable:
         self.vectors.clear()
         self.stash = None
 
-    def shrink(self, g: Multigraph, node: str) -> None:
-        """Turn this into the table of the coalition less the node, in
-        place. Each pair _through finds loses its geodesics through the
-        node; a pair left with none is farther apart, and the row of its
-        nearer end is searched again over the remaining links. The node's
-        row, column and links are swap-removed: the last member takes its
-        position."""
+    def shrink(self, i: int) -> None:
+        """Turn this into the table of the coalition less member i (a
+        graph index), in place. Each pair _through finds loses its
+        geodesics through i; a pair left with none is farther apart, and
+        the row of its nearer end is searched again over the remaining
+        links. The row, column and links of i are swap-removed: the last
+        member takes its position."""
         pos, sigma, rows, adj = self.pos, self.sigma, self.rows, self.adj
-        p = pos.pop(g.index_of(node))
+        p = pos.pop(i)
         si, level = sigma[p], rows[p]
         lost = set()
         for s, a, _, b, near in _through(rows, level):
@@ -434,15 +437,15 @@ class _BlockTable:
         self.vectors.clear()
         self.stash = None
 
-    def grown(self, g: Multigraph, node: str) -> "_BlockTable":
-        """A grown copy, from a copy of a stash held for the node; this
-        table is left as it is."""
-        rows = [[set(ring) for ring in row] for row in self.rows]
-        t = _BlockTable(dict(self.pos), [dict(a) for a in self.adj], [s[:] for s in self.sigma], rows)
-        if self.stash is not None and self.stash[0] == g.index_of(node):
-            i, si, level, pairs, link = self.stash
+    def grown(self, i: int) -> "_BlockTable":
+        """A copy grown by graph index i, from a copy of a stash held for
+        i; this table is left as it is."""
+        adj, sigma = [dict(a) for a in self.adj], [s[:] for s in self.sigma]
+        t = _BlockTable(self.neighbours, dict(self.pos), adj, sigma, [[set(ring) for ring in row] for row in self.rows])
+        if self.stash is not None and self.stash[0] == i:
+            _, si, level, pairs, link = self.stash
             t.stash = i, si[:], [set(ring) for ring in level], pairs, dict(link)
-        t.grow(g, node)
+        t.grow(i)
         return t
 
 
@@ -470,7 +473,7 @@ def _block_table(g: Multigraph, coalition: Iterable[str]) -> _BlockTable:
     adj = g.adjacency
     local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
     searched = [_bfs(local, a) for a in range(len(members))]
-    return _BlockTable(pos, local, [s for _, s in searched], [_buckets(d) for d, _ in searched])
+    return _BlockTable(adj, pos, local, [s for _, s in searched], [_buckets(d) for d, _ in searched])
 
 
 def _detours(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:

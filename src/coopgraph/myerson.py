@@ -323,7 +323,7 @@ class MyersonModel:
 
     def _value(self, t: _BlockTable, i: int) -> int:
         # payoff on a table and a graph index, from its count vector.
-        return sum(map(operator.mul, t.counts(i, self.g.adjacency[i]), self.weights))
+        return sum(map(operator.mul, t.counts(i), self.weights))
 
     def gain(self, p: Partition, mv: Move) -> Fraction:
         """The moving node's payoff in the joined coalition minus its payoff
@@ -349,7 +349,6 @@ class MyersonModel:
         positive-gain deviations that dynamics and nash_stable walk."""
         state = _MyersonState(self, p)
         for i in state.nodes:
-            node = state.labels[i]
             for k, gain in state.deviations(i):
                 if gain <= 0:
                     continue
@@ -357,9 +356,9 @@ class MyersonModel:
                 # block's is a private copy grown from it, never cached.
                 block = p.blocks[k]
                 t = self.table(block)
-                joined = t.grown(self.g, node)
+                joined = t.grown(i)
                 if not any(self._value(joined, j) < self._value(t, j) for j in map(self.g.index_of, block)):
-                    return False, (node, k)
+                    return False, (state.labels[i], k)
         return True, None
 
 
@@ -376,25 +375,25 @@ class _MyersonState(_IndexState):
         self.blocks = list(p.blocks)
 
     def deviations(self, i: int):
-        model, blocks, block, node = self.model, self.blocks, self.block, self.labels[i]
+        model, blocks, block = self.model, self.blocks, self.block
         s = block[i]
         # Only the blocks the node links to, by position: no other move
         # pays it more than 0 (see the module docstring).
         linked = sorted({block[j] for j in model.g.adjacency[i]} - {s})
-        now = model.payoff(blocks[s], node) if linked else 0
+        now = model._value(model.table(blocks[s]), i) if linked else 0
         for k in linked:
-            yield k, model.payoff(blocks[k], node) - now
+            yield k, model._value(model.table(blocks[k]), i) - now
 
     def accept(self, i: int, target: int, gain: int) -> None:
         model, blocks, node, s = self.model, self.blocks, self.labels[i], self.block[i]
         source = blocks[s]
         table = model.tables.pop(source)
         t = model.tables.pop(blocks[target])
-        t.grow(model.g, node)
+        t.grow(i)
         blocks[target] |= {node}
         model.tables[blocks[target]] = t
         if len(source) > 1:
-            table.shrink(model.g, node)
+            table.shrink(i)
             blocks[s] = source - {node}
             model.tables[blocks[s]] = table
         else:

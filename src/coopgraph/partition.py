@@ -55,7 +55,7 @@ class Move(_Record):
 class Partition:
     """Disjoint nonempty blocks covering a node set."""
 
-    __slots__ = ("_blocks", "_block_of", "_covers")
+    __slots__ = ("_blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[str]], universe: Optional[Iterable[str]] = None):
         blks = []
@@ -73,7 +73,6 @@ class Partition:
             blks.append(frozenset(block))
         self._blocks = tuple(blks)
         self._block_of = block_of
-        self._covers = None
         if universe is not None:
             self.check_cover(universe)
 
@@ -96,10 +95,7 @@ class Partition:
         return frozenset(self._block_of)
 
     def check_cover(self, universe: Iterable[str]) -> None:
-        """Raise PartitionError unless the blocks cover exactly the universe.
-        A tuple found covered is remembered, so checking it again is free."""
-        if universe is self._covers:
-            return
+        """Raise PartitionError unless the blocks cover exactly the universe."""
         labels = set(map(_label, universe))
         missing = labels - self._block_of.keys()
         extra = self._block_of.keys() - labels
@@ -107,8 +103,6 @@ class Partition:
             raise PartitionError(f"blocks do not cover: {sorted(missing)}")
         if extra:
             raise PartitionError(f"blocks contain unknown nodes: {sorted(extra)}")
-        if type(universe) is tuple:
-            self._covers = universe
 
     def block_of(self, node: str) -> int:
         try:
@@ -395,13 +389,16 @@ class _IndexState:
     def cycle_key(self) -> None:
         return None
 
+    def index_blocks(self) -> list[list[int]]:
+        """The blocks in position order, as graph indices in ascending order."""
+        blocks: list[list[int]] = [[] for _ in self.size]
+        for i, b in enumerate(self.block):
+            blocks[b].append(i)
+        return blocks
+
     def partition(self) -> Partition:
-        blocks: list[list[str]] = [[] for _ in self.size]
-        for label, b in zip(self.labels, self.block):
-            blocks[b].append(label)
-        p = Partition(blocks)
-        p._covers = self.labels  # the graph's label tuple, each placed once
-        return p
+        labels = self.labels
+        return Partition([labels[i] for i in members] for members in self.index_blocks())
 
 
 class _CallbackState:
@@ -424,8 +421,8 @@ class _CallbackState:
         self.p = apply_move(self.p, mv)
         self.log.append((node, mv.source, mv.target, gain))
 
-    def cycle_key(self) -> bytes:
-        return canonical_form(self.p)
+    def cycle_key(self) -> frozenset:
+        return frozenset(self.p.blocks)
 
     def partition(self) -> Partition:
         return self.p

@@ -43,7 +43,7 @@ from coopgraph import (
 )
 from coopgraph.hedonic import _BlockState
 from coopgraph.multigraph import NodePathProfile, _bfs_counts
-from coopgraph.partition import run_schedule
+from coopgraph.partition import _index_blocks, run_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -363,7 +363,7 @@ def reference_sweep_candidates(g: Multigraph, starts, grid: int, lo, hi) -> list
     for j in range(grid + 1):
         model = HedonicModel.bind(AlphaModel(lo + (hi - lo) * Fraction(j, grid)), g)
         for s in [*starts, Partition.singletons(g.labels), Partition.grand(g.labels)]:
-            final, _ = run_schedule(_BlockState(model, s))
+            final, _ = run_schedule(_BlockState(model, _index_blocks(g, s)))
             found.setdefault(canonical_form(final), final)
     return [found[key] for key in sorted(found)]
 

@@ -109,6 +109,26 @@ def test_only_multigraph_knows_the_block_table_layout():
     assert leaks == []
 
 
+def test_no_module_writes_another_objects_private_attribute():
+    # x._name may be assigned only where x is self or cls: a private
+    # attribute belongs to its own class's code.
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr.startswith("_"):
+                        if not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls")):
+                            writes.append(f"{path.name}:{t.lineno}:{ast.unparse(t)}")
+    assert writes == []
+
+
 def test_no_float_enters_the_package():
     # Game arithmetic is exact: no module holds a float literal or calls
     # float(). The CLI's timing (round(elapsed, 6)) is the one float.

@@ -38,7 +38,7 @@ from coopgraph.datasets import (
     karate_split_17_17,
 )
 from coopgraph.hedonic import _BlockState
-from coopgraph.partition import settle
+from coopgraph.partition import _index_blocks, settle
 
 from conftest import random_multigraph, random_partition, reference_sweep_candidates
 
@@ -431,7 +431,7 @@ class TestAlphaSweep:
         model = HedonicModel.bind(AlphaModel(frac("3/4")), g)
         ends = set()
         for s in (Partition.singletons(g.labels), reverse):
-            state = _BlockState(model, s)
+            state = _BlockState(model, _index_blocks(g, s))
             settle(state)
             ends.add(canonical_form(state.partition()))
         assert len(ends) == 2
@@ -533,7 +533,7 @@ def test_discovery_matches_every_start_run_at_every_grid_point(seed, n, ends, gr
         return lo + (hi - lo) * Fraction(j, grid)
 
     def plain_moves(a, start):
-        plain = _BlockState(HedonicModel.bind(AlphaModel(a), g), start)
+        plain = _BlockState(HedonicModel.bind(AlphaModel(a), g), _index_blocks(g, start))
         settle(plain)
         return _moves(plain)
 

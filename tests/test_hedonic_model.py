@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +39,8 @@ from coopgraph import (
     potential,
     run_dynamics,
 )
-from coopgraph import hedonic
 from coopgraph.hedonic import SweepRow, _BlockState, _envelope
-from coopgraph.partition import _CallbackState, settle
+from coopgraph.partition import _CallbackState, _index_blocks, settle
 
 from conftest import assert_skips_only_losing_deviations, random_multigraph, reference_envelope
 
@@ -176,7 +174,7 @@ def test_dynamics_match_the_reference_payoff_under_every_schedule(game, seed, ma
         assert final.blocks == ref_final.blocks
         # settle alone stops where run_schedule does, on the same partition.
         runs = [
-            (_BlockState(HedonicModel.bind(vf, g), start), final, trace),
+            (_BlockState(HedonicModel.bind(vf, g), _index_blocks(g, start)), final, trace),
             (_CallbackState(payoff, start), ref_final, ref_trace),
             (_CallbackState(restless, start), *run_dynamics(restless, start, schedule)),
         ]
@@ -221,7 +219,7 @@ def signed_games(draw):
 def test_the_state_leaves_out_only_deviations_that_cannot_gain(game):
     g, vf, p = game
     model = HedonicModel.bind(vf, g)
-    state = _BlockState(model, p)
+    state = _BlockState(model, _index_blocks(g, p))
     assert_skips_only_losing_deviations(
         p, lambda node: state.deviations(g.index_of(node)), lambda mv: model.gain(p, mv), model.den
     )
@@ -332,11 +330,11 @@ def line_sets(draw):
 def assert_envelope_matches_the_reference(forms, lo, hi):
     # Candidate k is a one-node partition with its own canonical form and
     # the line forms[k], so repeated forms keep the smallest candidate.
-    candidates = [Partition([[f"c{k:02d}"]]) for k in range(len(forms))]
-    form_of = dict(zip(candidates, forms))
-    with mock.patch.object(hedonic, "_form", lambda structure, p: form_of[p]):
-        rows = _envelope(None, candidates, lo, hi)
-    assert rows == [SweepRow(*row) for row in reference_envelope(list(zip(forms, candidates)), lo, hi)]
+    candidates = list(zip(forms, (Partition([[f"c{k:02d}"]]) for k in range(len(forms)))))
+    rows = _envelope(candidates, lo, hi)
+    assert rows == [SweepRow(*row) for row in reference_envelope(candidates, lo, hi)]
+    # Discovery hands the candidates over in the order it meets them.
+    assert _envelope(candidates[::-1], lo, hi) == rows
     assert {type(v) for row in rows for v in (row.alpha_lo, row.alpha_hi, row.intercept, row.slope)} == {Fraction}
 
 

@@ -56,6 +56,14 @@ class TestParsing:
         assert g.labels == ("A", "B", "C")
         assert g == parse_edge_list(b"A B\nA C\n")
 
+    def test_text_and_bytes_with_a_byte_order_mark_parse_alike(self):
+        # The mark is dropped after decoding, so a file read as text gives
+        # the graph its bytes give, with no mark in the first label.
+        data = "\ufeffA B\nA C 2\n".encode("utf-8")
+        g = parse_edge_list(data.decode("utf-8"))
+        assert g == parse_edge_list(data)
+        assert g.labels == ("A", "B", "C")
+
     def test_first_mention_order(self):
         g = parse_edge_list("Z A\nA B")
         assert g.labels == ("Z", "A", "B")

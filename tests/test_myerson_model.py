@@ -167,17 +167,31 @@ def test_one_accumulation_counts_what_each_members_scan_counts():
         compare()
         for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=8)):
             if node not in block:
-                table.grow(g, node)
+                table.grow(g.index_of(node))
                 block |= {node}
             elif len(block) > 1:
                 if table.pos[g.index_of(node)] != len(block) - 1:
                     seen.add("swapped")
-                table.shrink(g, node)
+                table.shrink(g.index_of(node))
                 block -= {node}
             compare()
 
     check()
     assert seen == {"swapped", "disconnected", "singleton"}
+
+
+def test_a_coalition_geodesic_may_be_longer_than_the_graph_diameter():
+    # The 6-cycle has diameter 3, but inside the block {a,...,e} the only
+    # a-e path has length 4. So the model's weights must reach the largest
+    # component's size - 1, not the graph's diameter.
+    g = parse_edge_list("a b\nb c\nc d\nd e\ne f\nf a\n")
+    block = frozenset("abcde")
+    assert node_path_counts(g, block).counts["c"] == (2, 3, 2, 1)
+    r = Fraction(1, 2)
+    model = MyersonModel.bind(g, r)
+    for node in sorted(block):
+        assert model.payoff(block, node) == ref_value(g, block, node, r) * model.den
+    assert Fraction(model.payoff(block, "c"), model.den) == Fraction(33, 40)
 
 
 @SETTINGS
@@ -355,12 +369,12 @@ def test_a_table_grown_in_place_equals_the_searched_one(data):
     outside = data.draw(st.permutations(sorted(set(g.labels) - block)))
     table = _block_table(g, block)
     for node in outside[: data.draw(st.integers(1, len(outside)))]:
-        copy = table.grown(g, node)
+        copy = table.grown(g.index_of(node))
         assert_same_table(g, copy, block | {node})
         assert_buckets_partition_the_members(copy)
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
-        table.grow(g, node)
+        table.grow(g.index_of(node))
         block |= {node}
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
@@ -377,7 +391,7 @@ def test_a_table_shrunk_in_place_equals_the_searched_one(data):
     leaving = data.draw(st.permutations(sorted(block)))
     table = _block_table(g, block)
     for node in leaving[: data.draw(st.integers(0, len(block) - 1))]:
-        table.shrink(g, node)
+        table.shrink(g.index_of(node))
         block -= {node}
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
@@ -399,7 +413,7 @@ def test_shrinking_splits_and_empties_a_block(edges, leaving):
     for node in leaving:
         # Vectors remembered for every member and every node that has left.
         table.vectors.update(dict.fromkeys(range(g.n), [1]))
-        table.shrink(g, node)
+        table.shrink(g.index_of(node))
         block -= {node}
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
@@ -416,10 +430,10 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
     table = _block_table(g, block)
     for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=10)):
         if node not in block:
-            table.grow(g, node)
+            table.grow(g.index_of(node))
             block |= {node}
         elif len(block) > 1:
-            table.shrink(g, node)
+            table.shrink(g.index_of(node))
             block -= {node}
         assert_same_table(g, table, block)
         assert_buckets_partition_the_members(table)
@@ -455,7 +469,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
 
         def change(node, joined):
             nonlocal block
-            (table.grow if node in joined else table.shrink)(g, node)
+            (table.grow if node in joined else table.shrink)(g.index_of(node))
             model.tables[joined] = model.tables.pop(block)
             block = joined
             assert table.stash is None and not table.vectors
@@ -473,14 +487,14 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
                 # grown by x must have grown from copies of x's stash.
                 stash = table.stash
                 node = x if data.draw(st.booleans()) else outsider()
-                copy = table.grown(g, node)
+                copy = table.grown(g.index_of(node))
                 assert table.stash is stash
                 assert_same_table(g, copy, block | {node})
                 assert_same_table(g, table, block)
                 rest = sorted(set(g.labels) - block - {node})
                 if rest:
                     z = data.draw(st.sampled_from(rest))
-                    copy.grow(g, z)
+                    copy.grow(g.index_of(z))
                     assert_same_table(g, copy, block | {node, z})
                 seen.add("grown")
             step = data.draw(st.sampled_from(["none", "grow", "shrink"]))
@@ -517,7 +531,7 @@ def test_a_table_filled_at_one_discount_serves_another(data):
         first.payoff(block, node)
         joined = block ^ {node}
         if data.draw(st.booleans()) and joined and len(joined) < g.n:
-            (table.shrink if node in block else table.grow)(g, node)
+            (table.shrink if node in block else table.grow)(g.index_of(node))
             first.tables[joined] = first.tables.pop(block)
             block = joined
     for node in g.labels:
@@ -547,7 +561,7 @@ def test_a_remembered_vector_is_the_node_path_counts_vector():
         def compare(kind):
             seen.add(kind)
             for i in range(g.n):
-                table.counts(i, g.adjacency[i])
+                table.counts(i)
             assert table.vectors.keys() == set(range(g.n))
             for i, vec in table.vectors.items():
                 node = g.labels[i]
@@ -558,13 +572,13 @@ def test_a_remembered_vector_is_the_node_path_counts_vector():
         for step in data.draw(st.lists(st.sampled_from(["grow", "shrink", "grown"]), max_size=4)):
             node = data.draw(st.sampled_from(g.labels))
             if step == "shrink" and node in block and len(block) > 1:
-                table.shrink(g, node)
+                table.shrink(g.index_of(node))
                 block -= {node}
             elif step != "shrink" and node not in block:
                 if step == "grown":
-                    table = table.grown(g, node)
+                    table = table.grown(g.index_of(node))
                 else:
-                    table.grow(g, node)
+                    table.grow(g.index_of(node))
                 block |= {node}
             else:
                 continue
@@ -651,7 +665,7 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
     grown = data.draw(st.integers(0, len(block) - 1))
     table = _block_table(g, frozenset(block[: len(block) - grown]))
     for node in block[len(block) - grown :]:
-        table.grow(g, node)
+        table.grow(g.index_of(node))
     for node in g.labels:
         i = g.index_of(node)
         if i in table.pos:
@@ -659,7 +673,7 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
             si, level = table.sigma[a], table.rows[a]
             scans = [_through, _detours]
         else:
-            si, level = table.join(i, g.adjacency[i])[1:3]
+            si, level = table.join(i)[1:3]
             scans = [_detours]
         want = reference_containment(all_distances(table), distances(level, len(table.rows)), si)
         for scan in scans:
@@ -688,14 +702,14 @@ def test_a_join_counts_what_the_row_walk_counts():
             outside = sorted(set(g.labels) - block)
             if step == "shrink" and len(block) > 1:
                 node = data.draw(st.sampled_from(sorted(block)))
-                table.shrink(g, node)
+                table.shrink(g.index_of(node))
                 block -= {node}
             elif step != "shrink" and len(outside) > 1:
                 node = data.draw(st.sampled_from(outside))
                 if step == "grown":
-                    table = table.grown(g, node)
+                    table = table.grown(g.index_of(node))
                 else:
-                    table.grow(g, node)
+                    table.grow(g.index_of(node))
                 block |= {node}
             else:
                 continue
@@ -705,7 +719,7 @@ def test_a_join_counts_what_the_row_walk_counts():
         for node in sorted(set(g.labels) - block):
             i = g.index_of(node)
             want_si, want_level = reference_entry(table, g.adjacency[i])
-            stash = table.join(i, g.adjacency[i])
+            stash = table.join(i)
             assert stash[0] == i
             assert stash[1] == want_si + [1] and stash[2] == want_level
             assert stash[4] == {table.pos[u]: mult for u, mult in g.adjacency[i].items() if u in table.pos}
@@ -841,17 +855,17 @@ class TestTableCache:
         joins, grown = [], []
         join, grow = _BlockTable.join, _BlockTable.grow
 
-        def watched_join(t, i, links):
+        def watched_join(t, i):
             # A join is computed when it leaves a new stash.
             held = t.stash
-            stash = join(t, i, links)
+            stash = join(t, i)
             if stash is not held:
                 joins.append(i)
             return stash
 
-        def watched_grow(t, g, node):
+        def watched_grow(t, i):
             before = len(joins)
-            grow(t, g, node)
+            grow(t, i)
             grown.append(len(joins) - before)
 
         monkeypatch.setattr(_BlockTable, "join", watched_join)
@@ -921,14 +935,14 @@ class TestTableCache:
         joins, copies = [], []
         join, grown = _BlockTable.join, _BlockTable.grown
 
-        def watched_join(t, i, links):
+        def watched_join(t, i):
             held = t.stash
-            stash = join(t, i, links)
+            stash = join(t, i)
             joins.append(stash is not held)
             return stash
 
-        def watched_grown(t, g, node):
-            copy = grown(t, g, node)
+        def watched_grown(t, i):
+            copy = grown(t, i)
             copies.append(copy)
             assert_same_table(g, copy, frozenset(g.labels[v] for v in copy.pos))
             return copy

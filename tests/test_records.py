@@ -218,13 +218,3 @@ def test_every_check_keeps_its_message(build, error, message):
 def test_checks_rebind_their_fields():
     assert AlphaModel("1/2").alpha == Fraction(1, 2)
     assert type(Modularity(gamma=2, beta="1/3").beta) is Fraction
-
-
-def test_replace_rebinds_and_checks(bound):
-    half = bound._replace(vf=AlphaModel("1/2"), kap=1, den=2)
-    assert (half.vf, half.kap, half.den, half.lam, half.a) == (AlphaModel("1/2"), 1, 2, bound.lam, bound.a)
-    assert bound.kap == 0
-    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 2"):
-        AlphaModel(0)._replace(alpha=2)
-    with pytest.raises(TypeError):
-        Move("A", 0, 1)._replace(weight=1)
