@@ -86,7 +86,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _hedonic_model(args, g: Multigraph):
+def _hedonic_model(args):
     if (args.alpha is None) == (not args.modularity):
         raise ValueError("choose exactly one of --alpha p/q or --modularity")
     if args.alpha is not None:
@@ -129,8 +129,8 @@ def _emit_partition_report(args, g, command, model, final, trace, elapsed, **fie
 
 
 def _cmd_partition_hedonic(args) -> int:
+    vf, model = _hedonic_model(args)
     g = _resolve_graph(args.graph)
-    vf, model = _hedonic_model(args, g)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
     final, trace = better_response(vf, g, start, _schedule(args))
@@ -149,8 +149,8 @@ def _cmd_partition_hedonic(args) -> int:
 
 
 def _cmd_partition_myerson(args) -> int:
+    r = _check_r(parse_rational(args.r))
     g = _resolve_graph(args.graph)
-    r = parse_rational(args.r)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
     # One model for the run and both verifiers, which read its cached tables.
@@ -181,7 +181,6 @@ def _cmd_partition_myerson(args) -> int:
 
 
 def _cmd_myerson_value(args) -> int:
-    g = _resolve_graph(args.graph)
     # Labels are split at commas; a backslash before a comma or another
     # backslash makes that character literal, as in canonical_form.
     label = r"(?:\\[,\\]|[^,\\]|\\(?![,\\]))+"
@@ -192,6 +191,8 @@ def _cmd_myerson_value(args) -> int:
     repeated = [u for u, c in Counter(coalition).items() if c > 1]
     if repeated:
         raise ValueError(f"--coalition lists node {repeated[0]!r} more than once")
+    r = None if args.r is None else _check_r(parse_rational(args.r))
+    g = _resolve_graph(args.graph)
     allocation = myerson_allocation(g, coalition)
     # Per component the payoffs sum to its worth, so the coalition's
     # worth needs no second table.
@@ -205,8 +206,7 @@ def _cmd_myerson_value(args) -> int:
             for node, poly in sorted(allocation.items())
         },
     }
-    if args.r is not None:
-        r = _check_r(parse_rational(args.r))
+    if r is not None:
         out["r"] = format_rational(r)
         out["value_at_r"] = format_rational(value.evaluate(r))
         out["allocation_at_r"] = {
@@ -218,8 +218,7 @@ def _cmd_myerson_value(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    g = _resolve_graph(args.graph)
-    p = _load_partition(args.partition, g)
+    # Flags are checked before the graph and the partition are read.
     if args.model == "hedonic":
         if args.alpha is None:
             raise ValueError("--model hedonic needs --alpha p/q")
@@ -228,6 +227,15 @@ def _cmd_stability(args) -> int:
         if args.r is not None:
             raise ValueError("--r applies to the myerson model only")
         vf = AlphaModel(parse_rational(args.alpha))
+    else:
+        if args.r is None:
+            raise ValueError("--model myerson needs --r p/q")
+        if args.alpha is not None:
+            raise ValueError("--alpha applies to the hedonic model only")
+        r = _check_r(parse_rational(args.r))
+    g = _resolve_graph(args.graph)
+    p = _load_partition(args.partition, g)
+    if args.model == "hedonic":
         stable, witness = nash_stable(vf, g, p)
         out = {
             "model": "hedonic",
@@ -237,11 +245,6 @@ def _cmd_stability(args) -> int:
             "witness": move_to_obj(witness),
         }
     else:
-        if args.r is None:
-            raise ValueError("--model myerson needs --r p/q")
-        if args.alpha is not None:
-            raise ValueError("--alpha applies to the hedonic model only")
-        r = parse_rational(args.r)
         if args.external:
             stable, entry = external_stability_check(g, p, r)
             witness = None if entry is None else {"node": entry[0], "block": entry[1]}

@@ -7,14 +7,18 @@ weight of a longer shortest path is the product of the multiplicities of
 its links.
 
 Paths inside a coalition are counted on one geodesic table per
-coalition (_BlockTable): member positions, the links inside the
-coalition, geodesic counts and distance buckets, from one BFS per member
-over those links. Every count is a _bfs over them: a joining node's is
-one BFS from the node, and a shrunk table's rows are searched again.
+coalition (_BlockTable), built by _block_table from the coalition's
+graph indices: member positions, the links inside the coalition,
+geodesic counts and distance buckets, from one BFS per member over
+those links. A table is searched, grown by a joining node or shrunk by
+a leaving member; every count is a _bfs over its links: a joining
+node's is one BFS from the node, and a shrunk table's rows are searched
+again.
 coalition_path_counts sums its counts per distance; node_path_counts
 reads all members' containment vectors (_containments), a Myerson
 payoff one node's (_BlockTable.counts), in the layout of
-NodePathProfile.
+NodePathProfile. Those two take labels and turn them into graph
+indices; every table call takes graph indices.
 """
 
 from __future__ import annotations
@@ -296,7 +300,8 @@ class _BlockTable:
     the containment vectors counts has derived, keyed by graph index;
     they depend on no discount. stash holds the last outsider join
     computed, (i, si, level, pairs, link) from join, for a grow by i to
-    read. grow and shrink drop both, and a grown copy ends with neither."""
+    read. A table changes only in place, by grow and shrink, and both
+    drop vectors and stash."""
 
     __slots__ = ("neighbours", "pos", "adj", "sigma", "rows", "vectors", "stash")
 
@@ -437,17 +442,6 @@ class _BlockTable:
         self.vectors.clear()
         self.stash = None
 
-    def grown(self, i: int) -> "_BlockTable":
-        """A copy grown by graph index i, from a copy of a stash held for
-        i; this table is left as it is."""
-        adj, sigma = [dict(a) for a in self.adj], [s[:] for s in self.sigma]
-        t = _BlockTable(self.neighbours, dict(self.pos), adj, sigma, [[set(ring) for ring in row] for row in self.rows])
-        if self.stash is not None and self.stash[0] == i:
-            _, si, level, pairs, link = self.stash
-            t.stash = i, si[:], [set(ring) for ring in level], pairs, dict(link)
-        t.grow(i)
-        return t
-
 
 def _file(row: list[set], d: int, t: int) -> None:
     while len(row) <= d:
@@ -463,10 +457,10 @@ def _buckets(dist_row: list[int]) -> list[set]:
     return row
 
 
-def _block_table(g: Multigraph, coalition: Iterable[str]) -> _BlockTable:
-    # Members as graph indices in ascending order (the node order of
+def _block_table(g: Multigraph, block: Iterable[int]) -> _BlockTable:
+    # The block's graph indices in ascending order (the node order of
     # induced_subgraph), then one BFS per member over the links inside.
-    members = sorted({g.index_of(u) for u in coalition})
+    members = sorted(block)
     if not members:
         raise ValueError("coalition must be nonempty")
     pos = {v: a for a, v in enumerate(members)}
@@ -556,7 +550,7 @@ def _containments(t: _BlockTable) -> list[list[int]]:
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
     """Geodesic path counts inside g restricted to the coalition, summed
     per distance over the rows of its geodesic table."""
-    t = _block_table(g, coalition)
+    t = _block_table(g, {g.index_of(u) for u in coalition})
     counts = [0] * (max(map(len, t.rows)) - 1)
     for s, row in zip(t.sigma, t.rows):
         get = s.__getitem__
@@ -567,6 +561,6 @@ def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfil
 
 def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile:
     """Per-node geodesic containment counts inside g restricted to the coalition."""
-    t = _block_table(g, coalition)
+    t = _block_table(g, {g.index_of(u) for u in coalition})
     vecs = _containments(t)
     return NodePathProfile({g.label_of(v): tuple(vecs[a]) for v, a in t.pos.items()}, len(vecs[0]))

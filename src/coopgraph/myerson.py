@@ -8,25 +8,23 @@ kept as an exponential-size oracle for cross-checking.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
 r), which caches one geodesic table per block (multigraph._BlockTable,
-the table node_path_counts reads). The table gives any node's count
-vector of the geodesics through it in the block it would join, and
-remembers it until the table changes; a joining node needs no table of
-the joined block. The vectors do not depend on r: the model only weighs
-them. In a block it has no link to, or a fresh one, a node is isolated
-and paid 0, never more than now: dynamics and the external check value
-only the blocks it links to.
+the table node_path_counts reads), keyed by the frozenset of the block's
+graph indices. The table gives any node's count vector of the geodesics
+through it in the block it would join, and remembers it until the table
+changes; a joining node needs no table of the joined block. The vectors
+do not depend on r: the model only weighs them. In a block it has no
+link to, or a fresh one, a node is isolated and paid 0, never more than
+now: dynamics and the external check value only the blocks it links to.
 
-A table has one lifecycle: it is searched on a miss, grown in place when
-better response accepts a join into its block, shrunk in place when it
-accepts a leave from it (a singleton source's table is dropped, so a
-run leaves the live blocks only and a move searches nothing), and
-copied, then grown, when the external check values an entry. The check
-keeps that copy to itself, so the cache holds only blocks of the
-partitions passed in and of runs' partitions. An outsider's payoff
-leaves its counts, buckets, detour pairs and links on the table as its
-one stash; the accepted join that follows grows the table from them,
-and any other join computes its own. Growing or shrinking drops the
-stash; a grown copy copies one held for its entrant.
+A table is searched on a miss, grown in place when better response
+accepts a join into its block and shrunk in place when it accepts a
+leave (a singleton source's table is dropped, so a run leaves the live
+blocks only and a move searches nothing). The external check searches
+each entered block T + {i} and caches none, so the cache holds only
+blocks of the partitions passed in and of runs' partitions. An
+outsider's payoff leaves its counts, buckets, detour pairs and links on
+the table as its one stash; the accepted join that follows grows the
+table from them, and any other join computes its own.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator: the dot product of c with the
@@ -36,7 +34,7 @@ node_path_counts, which searches a table of its own (the benchmark
 traces that call) and counts all members at once.
 
 The game has no potential, so dynamics run on partition.settle with a
-cycle key: the set of the block frozensets.
+cycle key: the set of the blocks' graph-index frozensets.
 """
 
 from __future__ import annotations
@@ -278,12 +276,13 @@ class MyersonModel:
     """A graph and a discount r bound for exact Myerson gains.
 
     Payoffs are integers over den: weights[k-1] = den r^k / (k+1) for
-    every geodesic length 1 <= k < n, the model's one use of r. Block
-    tables, which hold r-free count vectors, are built on first use;
-    hits and misses count table lookups. better_response keeps the
-    tables of the live blocks only, and external_stability caches no
-    joined block, so every cached table is of a block of a partition
-    passed in or of a run. Bind with MyersonModel.bind.
+    every geodesic length 1 <= k < n, the model's one use of r. tables
+    maps blocks of graph indices to their r-free tables, built on first
+    use; hits and misses count lookups. better_response keeps the live
+    blocks' tables only, and external_stability caches no joined block,
+    so every cached table is of a block of a partition passed in or of a
+    run. Labels become graph indices at payoff, gain and
+    partition._index_blocks. Bind with MyersonModel.bind.
     """
 
     def __init__(self, g: Multigraph, weights: tuple[int, ...], den: int):
@@ -305,8 +304,8 @@ class MyersonModel:
         return cls(g, weights, scale * b**top)
 
     def table(self, block: frozenset) -> _BlockTable:
-        """The block's table, searched on a miss (its lifecycle is in the
-        module docstring)."""
+        """The table of a block of graph indices, searched on a miss (its
+        lifecycle is in the module docstring)."""
         t = self.tables.get(block)
         if t is None:
             self.misses += 1
@@ -316,10 +315,11 @@ class MyersonModel:
         return t
 
     def payoff(self, block: frozenset, node: str) -> int:
-        """den times the node's payoff in the block joined by the node: a
-        member's from its own row, an outsider's from its links into the
-        block."""
-        return self._value(self.table(block), self.g.index_of(node))
+        """den times the node's payoff in the block of labels joined by the
+        node: a member's from its own row, an outsider's from its links
+        into the block."""
+        index = self.g.index_of
+        return self._value(self.table(frozenset(map(index, block))), index(node))
 
     def _value(self, t: _BlockTable, i: int) -> int:
         # payoff on a table and a graph index, from its count vector.
@@ -353,26 +353,27 @@ class MyersonModel:
                 if gain <= 0:
                     continue
                 # The node's payoff has cached the block's table; the joined
-                # block's is a private copy grown from it, never cached.
-                block = p.blocks[k]
+                # block's is searched and never cached.
+                block = state.blocks[k]
                 t = self.table(block)
-                joined = t.grown(i)
-                if not any(self._value(joined, j) < self._value(t, j) for j in map(self.g.index_of, block)):
+                joined = _block_table(self.g, block | {i})
+                if not any(self._value(joined, j) < self._value(t, j) for j in block):
                     return False, (state.labels[i], k)
         return True, None
 
 
 class _MyersonState(_IndexState):
-    """The shared state with unit weights, plus blocks, each block's label
-    frozenset, which keys its table. An accepted join grows the target's
-    table in place and shrinks the source's, or drops it with a
-    singleton source."""
+    """The shared state with unit weights, plus blocks, each block's
+    frozenset of graph indices, which keys its table. An accepted join
+    grows the target's table in place and shrinks the source's, or drops
+    it with a singleton source."""
 
     def __init__(self, model: MyersonModel, p: Partition):
         g = model.g
-        super().__init__(g.labels, _index_blocks(g, p), (1,) * g.n, model.den)
+        blocks = _index_blocks(g, p)
+        super().__init__(g.labels, blocks, (1,) * g.n, model.den)
         self.model = model
-        self.blocks = list(p.blocks)
+        self.blocks = list(map(frozenset, blocks))
 
     def deviations(self, i: int):
         model, blocks, block = self.model, self.blocks, self.block
@@ -385,16 +386,16 @@ class _MyersonState(_IndexState):
             yield k, model._value(model.table(blocks[k]), i) - now
 
     def accept(self, i: int, target: int, gain: int) -> None:
-        model, blocks, node, s = self.model, self.blocks, self.labels[i], self.block[i]
+        model, blocks, s = self.model, self.blocks, self.block[i]
         source = blocks[s]
         table = model.tables.pop(source)
         t = model.tables.pop(blocks[target])
         t.grow(i)
-        blocks[target] |= {node}
+        blocks[target] |= {i}
         model.tables[blocks[target]] = t
         if len(source) > 1:
             table.shrink(i)
-            blocks[s] = source - {node}
+            blocks[s] = source - {i}
             model.tables[blocks[s]] = table
         else:
             del blocks[s]

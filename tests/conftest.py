@@ -15,7 +15,9 @@ discovery, every start run at every grid point.
 assert_skips_only_losing_deviations checks
 a dynamics state's deviations against every move enumerate_deviations
 lists. benchmark_suite draws a benchmark workload's graphs as
-perfbench/ draws them, reading perfbench/ only.
+perfbench/ draws them, reading perfbench/ only. index_block turns a
+block of labels into the frozenset of graph indices that keys a Myerson
+model's tables.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ def benchmark_suite(workload: str) -> list[list[tuple]]:
         )
         for i in range(spec["graphs"])
     ]
+
+
+def index_block(g: Multigraph, labels) -> frozenset[int]:
+    return frozenset(map(g.index_of, labels))
 
 
 def random_multigraph(rng: random.Random, n: int, edge_prob=0.4, max_mult=3, connected=False):

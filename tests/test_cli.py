@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopgraph import MyersonModel, Partition, alpha_sweep, component_characteristic, load_dataset
+from coopgraph import (
+    Modularity,
+    MyersonModel,
+    Partition,
+    alpha_sweep,
+    better_response,
+    component_characteristic,
+    load_dataset,
+    nash_stable,
+    potential,
+)
 from coopgraph.cli import cli_dispatch
 from coopgraph.datasets import karate_split_15_19
 from coopgraph.reports import (
@@ -22,7 +32,10 @@ from coopgraph.reports import (
     parse_rational,
     partition_to_json,
     partition_from_json,
+    partition_from_obj,
+    partition_to_obj,
     sweep_to_csv,
+    trace_to_obj,
 )
 
 
@@ -99,6 +112,11 @@ class TestPartitionJson:
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="blocks"):
             partition_from_json('{"nope": 1}')
+
+    @pytest.mark.parametrize("blocks", [[["A"], "B"], "AB", [["A"], {"B": 1}]], ids=["string", "not-a-list", "object"])
+    def test_blocks_must_be_lists(self, blocks):
+        with pytest.raises(ValueError, match="'blocks' must be a list of lists"):
+            partition_from_obj({"blocks": blocks})
 
 
 class TestThresholdCommand:
@@ -202,6 +220,23 @@ class TestPartitionCommand:
         assert code == 2
         assert out == ""
         assert named in err
+
+    def test_degree_normalized_modularity_run_matches_the_library(self, capsys):
+        code, out, _ = run(
+            capsys, "partition", "hedonic", "--graph", "karate", "--modularity",
+            "--gamma", "1/2", "--beta", "degree-norm",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["model"] == {"kind": "modularity", "gamma": "1/2", "beta": "degree-normalized"}
+        g = load_dataset("karate")
+        vf = Modularity(Fraction(1, 2), beta=None)
+        final, trace = better_response(vf, g, Partition.singletons(g.labels))
+        assert report["partition"] == partition_to_obj(final)
+        assert (report["status"], report["trace"]) == (trace.status, trace_to_obj(trace))
+        assert report["stability"] == {"nash_stable": True, "witness": None}
+        assert nash_stable(vf, g, final) == (True, None)
+        assert report["potential"] == {"value": format_rational(potential(vf, g, final).value)}
 
     def test_reports_reproducible_except_timing(self, capsys, tmp_path):
         outs = []
@@ -445,6 +480,18 @@ class TestStabilityCommand:
         assert code == 2
         assert "--alpha" in err
 
+    def test_myerson_without_r_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        g = load_dataset("example1")
+        path.write_text(partition_to_json(Partition.grand(g.labels)))
+        code, out, err = run(
+            capsys,
+            "stability", "--graph", "example1", "--partition", str(path),
+            "--model", "myerson",
+        )
+        assert (code, out) == (2, "")
+        assert "--model myerson needs --r p/q" in err
+
     def test_external_rejected_for_hedonic(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         g = load_dataset("example1")
@@ -530,6 +577,13 @@ class TestDatasetCommand:
         info = json.loads(out)
         assert (info["n"], info["m"]) == (26, 78)
         assert info["clique_sizes"] == [8, 5, 6, 7]
+
+    def test_info_marks_a_multigraph(self, capsys):
+        code, out, _ = run(capsys, "dataset", "--name", "example1", "--emit", "info")
+        assert code == 0
+        info = json.loads(out)
+        assert info["multigraph"] is True
+        assert (info["n"], info["m"]) == (6, 9)
 
     def test_edgelist_round_trips(self, capsys):
         code, out, _ = run(capsys, "dataset", "--name", "example1", "--emit", "edgelist")
@@ -640,6 +694,40 @@ class TestUsageErrors:
             assert code == 0, err
             outs.append(re.sub(r'"timing_seconds": [0-9.e-]+', "", out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("partition", "hedonic", "--alpha", "1/5", "--modularity"), "choose exactly one"),
+            (("partition", "hedonic", "--modularity", "--beta", "uniform"), "--beta must be 'uniform:p/q' or 'degree-norm'"),
+            (("partition", "hedonic", "--alpha", "1/5", "--gamma", "2"), "--gamma applies to --modularity only"),
+            (("partition", "myerson", "--r", "3/2"), "discount r must lie in [0, 1]"),
+            (("myerson", "value", "--coalition", "A,A"), "lists node 'A' more than once"),
+            (("myerson", "value", "--coalition", "A", "--r", "2"), "discount r must lie in [0, 1]"),
+            (("stability", "--partition", "p.json", "--model", "myerson"), "--model myerson needs --r p/q"),
+            (("stability", "--partition", "p.json", "--model", "hedonic"), "--model hedonic needs --alpha p/q"),
+            (
+                ("stability", "--partition", "p.json", "--model", "hedonic", "--alpha", "1/5", "--external"),
+                "--external applies to the myerson model only",
+            ),
+            (
+                ("stability", "--partition", "p.json", "--model", "myerson", "--r", "1/2", "--alpha", "1/3"),
+                "--alpha applies to the hedonic model only",
+            ),
+            (("stability", "--partition", "p.json", "--model", "myerson", "--r", "-1"), "discount r must lie in [0, 1]"),
+        ],
+        ids=[
+            "alpha-and-modularity", "malformed-beta", "gamma-with-alpha", "r-above-one", "repeated-member",
+            "value-r-above-one", "myerson-without-r", "hedonic-without-alpha", "external-for-hedonic",
+            "alpha-for-myerson", "negative-r",
+        ],
+    )
+    def test_flag_errors_come_before_any_file_is_read(self, capsys, tmp_path, argv, named):
+        # Neither the graph nor the partition file exists.
+        argv = [str(tmp_path / a) if a == "p.json" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--graph", str(tmp_path / "missing.edges"))
+        assert (code, out) == (2, "")
+        assert named in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

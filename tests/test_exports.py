@@ -109,6 +109,25 @@ def test_only_multigraph_knows_the_block_table_layout():
     assert leaks == []
 
 
+def test_only_the_engines_entry_reads_index_of():
+    # Labels become graph indices once, at partition._index_blocks, or at
+    # a public call that takes labels: no private function and no method
+    # of a private class looks a label up.
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
+                continue
+            scopes = [node] if isinstance(node, ast.FunctionDef) else [
+                f for f in node.body if isinstance(f, ast.FunctionDef)
+            ]
+            for scope in scopes:
+                if any(isinstance(n, ast.Attribute) and n.attr == "index_of" for n in ast.walk(scope)):
+                    name = scope.name if scope is node else f"{node.name}.{scope.name}"
+                    readers.append(f"{path.stem}.{name}")
+    assert readers == ["partition._index_blocks"]
+
+
 def test_no_module_writes_another_objects_private_attribute():
     # x._name may be assigned only where x is self or cls: a private
     # attribute belongs to its own class's code.

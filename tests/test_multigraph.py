@@ -169,6 +169,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match="whitespace-free"):
             Multigraph([("a b", "c")])
 
+    def test_membership_and_equality(self, example1):
+        assert "A" in example1 and "Z" not in example1
+        assert example1 == parse_edge_list(serialize_edge_list(example1))
+        assert (example1 == object()) is False
+        assert example1 != Multigraph([("A", "B")])
+
     @pytest.mark.parametrize("edge", ["ab", ("a", "b", 1, 2), ("a",)], ids=["string", "4-tuple", "1-tuple"])
     def test_edge_shape_validation(self, edge):
         # A 2-character string would unpack as the edge a-b.

@@ -77,6 +77,14 @@ class TestCharPoly:
         p = poly(Fraction(3, 2), Fraction(4, 3), 1)
         assert str(p) == "3/2 r + 4/3 r^2 + r^3"
         assert p.power_strings() == ["0", "3/2", "4/3", "1"]
+        # A zero coefficient below the top is left out of the text.
+        assert str(CharPoly([0, 1])) == "r^2"
+        assert repr(poly(1, 2)) == "CharPoly((Fraction(1, 1), Fraction(2, 1)))"
+
+    def test_equal_polynomials_hash_alike(self):
+        a, b = CharPoly([1, "1/2", 0]), poly(1, Fraction(1, 2))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, CharPoly.zero()}) == 2
 
 
 class TestCharacteristicValue:

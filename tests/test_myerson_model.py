@@ -61,6 +61,7 @@ from conftest import (
     assert_skips_only_losing_deviations,
     benchmark_suite,
     brute_force_profiles,
+    index_block,
     reference_allocation,
     reference_containment,
     reference_entry,
@@ -149,7 +150,7 @@ def test_one_accumulation_counts_what_each_members_scan_counts():
     def check(data):
         g = data.draw(graphs(max_mult=10**6))
         block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
-        table = _block_table(g, block)
+        table = _block_table(g, index_block(g, block))
 
         def compare():
             rows = table.rows
@@ -320,7 +321,7 @@ def assert_same_table(g, table, block):
     distances, read from the buckets, and geodesic counts for every pair
     of members, whatever rows the two tables give them, and each row's
     links those of the block's induced subgraph."""
-    built = _block_table(g, block)
+    built = _block_table(g, index_block(g, block))
     assert table.pos.keys() == built.pos.keys()
     label = {a: g.labels[v] for v, a in table.pos.items()}
     h = induced_subgraph(g, block)
@@ -351,7 +352,8 @@ def test_derived_tables_equal_tables_built_by_search(data):
     model = MyersonModel.bind(g, 1)
     model.better_response(p)
     for block, table in model.tables.items():
-        assert_same_table(g, table, block)
+        assert table.pos.keys() == block
+        assert_same_table(g, table, [g.labels[i] for i in block])
         assert_buckets_partition_the_members(table)
 
 
@@ -360,20 +362,13 @@ def test_derived_tables_equal_tables_built_by_search(data):
 def test_a_table_grown_in_place_equals_the_searched_one(data):
     # The block may be disconnected, and the node may link it up, touch
     # one component, or not link to it at all; growing again from the
-    # grown table exercises buckets that growth itself moved. At each
-    # step a grown copy must equal the search too, and leave the table it
-    # was copied from as it was.
+    # grown table exercises buckets that growth itself moved.
     g = data.draw(graphs())
     assume(g.n >= 2)
     block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
     outside = data.draw(st.permutations(sorted(set(g.labels) - block)))
-    table = _block_table(g, block)
+    table = _block_table(g, index_block(g, block))
     for node in outside[: data.draw(st.integers(1, len(outside)))]:
-        copy = table.grown(g.index_of(node))
-        assert_same_table(g, copy, block | {node})
-        assert_buckets_partition_the_members(copy)
-        assert_same_table(g, table, block)
-        assert_buckets_partition_the_members(table)
         table.grow(g.index_of(node))
         block |= {node}
         assert_same_table(g, table, block)
@@ -389,7 +384,7 @@ def test_a_table_shrunk_in_place_equals_the_searched_one(data):
     g = data.draw(graphs())
     block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
     leaving = data.draw(st.permutations(sorted(block)))
-    table = _block_table(g, block)
+    table = _block_table(g, index_block(g, block))
     for node in leaving[: data.draw(st.integers(0, len(block) - 1))]:
         table.shrink(g.index_of(node))
         block -= {node}
@@ -409,7 +404,7 @@ def test_a_table_shrunk_in_place_equals_the_searched_one(data):
 def test_shrinking_splits_and_empties_a_block(edges, leaving):
     g = parse_edge_list(edges)
     block = frozenset(g.labels)
-    table = _block_table(g, block)
+    table = _block_table(g, index_block(g, block))
     for node in leaving:
         # Vectors remembered for every member and every node that has left.
         table.vectors.update(dict.fromkeys(range(g.n), [1]))
@@ -427,7 +422,7 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
     # A node outside the block joins, a member other than the last leaves.
     g = data.draw(graphs())
     block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
-    table = _block_table(g, block)
+    table = _block_table(g, index_block(g, block))
     for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=10)):
         if node not in block:
             table.grow(g.index_of(node))
@@ -441,13 +436,11 @@ def test_a_table_grown_and_shrunk_in_turn_equals_the_searched_one(data):
 
 def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
     # Rounds on one table: an outsider x is priced, which leaves its join
-    # on the table as a stash, and a member is priced; a grown copy may
-    # be taken and grown on, the table may change by a grow or a shrink,
-    # then an outsider y grows the table. After each step the table must equal
-    # the search and each payoff the reference. seen records that the
-    # runs cover a grow by another node than the stashed one, a grow by
-    # x after the table changed, and a grown copy taken while a stash is
-    # held.
+    # on the table as a stash, and a member is priced; the table may
+    # change by a grow or a shrink, then an outsider y grows the table.
+    # After each step the table must equal the search and each payoff the
+    # reference. seen records that the runs cover a grow by another node
+    # than the stashed one and a grow by x after the table changed.
     seen = set()
 
     @SETTINGS
@@ -458,7 +451,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
         r = data.draw(DISCOUNTS)
         model = MyersonModel.bind(g, r)
         block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 2)))
-        table = model.table(block)
+        table = model.table(index_block(g, block))
 
         def outsider():
             return data.draw(st.sampled_from(sorted(set(g.labels) - block)))
@@ -470,7 +463,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
         def change(node, joined):
             nonlocal block
             (table.grow if node in joined else table.shrink)(g.index_of(node))
-            model.tables[joined] = model.tables.pop(block)
+            model.tables[index_block(g, joined)] = model.tables.pop(index_block(g, block))
             block = joined
             assert table.stash is None and not table.vectors
             assert_same_table(g, table, block)
@@ -482,21 +475,6 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
             price(x)
             price(data.draw(st.sampled_from(sorted(block))))
             assert table.stash[0] == g.index_of(x)
-            if data.draw(st.booleans()):
-                # Growing the copy on changes the rows it holds, so a copy
-                # grown by x must have grown from copies of x's stash.
-                stash = table.stash
-                node = x if data.draw(st.booleans()) else outsider()
-                copy = table.grown(g.index_of(node))
-                assert table.stash is stash
-                assert_same_table(g, copy, block | {node})
-                assert_same_table(g, table, block)
-                rest = sorted(set(g.labels) - block - {node})
-                if rest:
-                    z = data.draw(st.sampled_from(rest))
-                    copy.grow(g.index_of(z))
-                    assert_same_table(g, copy, block | {node, z})
-                seen.add("grown")
             step = data.draw(st.sampled_from(["none", "grow", "shrink"]))
             if step == "grow" and len(block) < g.n - 1:
                 node = outsider()
@@ -512,7 +490,7 @@ def test_a_join_stash_serves_only_the_grow_it_was_taken_for():
             change(y, block | {y})
 
     check()
-    assert seen == {"other node", "changed", "grown"}
+    assert seen == {"other node", "changed"}
 
 
 @SETTINGS
@@ -526,13 +504,13 @@ def test_a_table_filled_at_one_discount_serves_another(data):
     r = data.draw(DISCOUNTS)
     first = MyersonModel.bind(g, r)
     block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
-    table = first.table(block)
+    table = first.table(index_block(g, block))
     for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=6)):
         first.payoff(block, node)
         joined = block ^ {node}
         if data.draw(st.booleans()) and joined and len(joined) < g.n:
             (table.shrink if node in block else table.grow)(g.index_of(node))
-            first.tables[joined] = first.tables.pop(block)
+            first.tables[index_block(g, joined)] = first.tables.pop(index_block(g, block))
             block = joined
     for node in g.labels:
         first.payoff(block, node)
@@ -544,8 +522,8 @@ def test_a_table_filled_at_one_discount_serves_another(data):
 
 
 def test_a_remembered_vector_is_the_node_path_counts_vector():
-    # On a table searched, then grown, shrunk or copied by grown in turn,
-    # every node's vector is counted and remembered: a member's must be
+    # On a table searched, then grown or shrunk in turn, every node's
+    # vector is counted and remembered: a member's must be
     # its node_path_counts vector in the block, an outsider's its vector
     # in the joined block, up to trailing zeros. seen records that the
     # runs cover each kind of table.
@@ -556,7 +534,7 @@ def test_a_remembered_vector_is_the_node_path_counts_vector():
     def check(data):
         g = data.draw(graphs())
         block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
-        table = _block_table(g, block)
+        table = _block_table(g, index_block(g, block))
 
         def compare(kind):
             seen.add(kind)
@@ -569,28 +547,25 @@ def test_a_remembered_vector_is_the_node_path_counts_vector():
                 assert without_trailing_zeros(vec) == without_trailing_zeros(want)
 
         compare("searched")
-        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink", "grown"]), max_size=4)):
+        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink"]), max_size=4)):
             node = data.draw(st.sampled_from(g.labels))
             if step == "shrink" and node in block and len(block) > 1:
                 table.shrink(g.index_of(node))
                 block -= {node}
-            elif step != "shrink" and node not in block:
-                if step == "grown":
-                    table = table.grown(g.index_of(node))
-                else:
-                    table.grow(g.index_of(node))
+            elif step == "grow" and node not in block:
+                table.grow(g.index_of(node))
                 block |= {node}
             else:
                 continue
             compare(step)
 
     check()
-    assert seen == {"searched", "grow", "shrink", "grown"}
+    assert seen == {"searched", "grow", "shrink"}
 
 
 class CheckedState(myerson._MyersonState):
     """The dynamics state, checking each cycle key it hands out against
-    the set of its partition's blocks, and checking that keys and
+    the set of its partition's blocks as graph indices, and checking that keys and
     canonical forms tell the same partitions apart."""
 
     def __init__(self, model, p):
@@ -602,7 +577,7 @@ class CheckedState(myerson._MyersonState):
     def cycle_key(self):
         key = super().cycle_key()
         p = self.partition()
-        assert key == frozenset(p.blocks)
+        assert key == {index_block(self.model.g, b) for b in p.blocks}
         form = canonical_form(p)
         assert self.forms.setdefault(key, form) == form
         assert self.keys_of.setdefault(form, key) == key
@@ -663,7 +638,7 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
     g = data.draw(graphs())
     block = data.draw(st.lists(st.sampled_from(g.labels), min_size=1, unique=True))
     grown = data.draw(st.integers(0, len(block) - 1))
-    table = _block_table(g, frozenset(block[: len(block) - grown]))
+    table = _block_table(g, index_block(g, block[: len(block) - grown]))
     for node in block[len(block) - grown :]:
         table.grow(g.index_of(node))
     for node in g.labels:
@@ -682,8 +657,8 @@ def test_bucketed_containment_matches_the_all_pairs_reference(data):
 
 
 def test_a_join_counts_what_the_row_walk_counts():
-    # On a table searched, grown or shrunk in place, or copied by grown,
-    # every outside node's join (one search over the block's links) must
+    # On a table searched, grown or shrunk in place, every outside node's
+    # join (one search over the block's links) must
     # give the counts and buckets of the row walk over its linked members'
     # rows, and leave the table as it was. seen records that the runs
     # cover each kind of table, entrants with no link into the block, and
@@ -696,20 +671,17 @@ def test_a_join_counts_what_the_row_walk_counts():
         g = data.draw(graphs())
         assume(g.n >= 2)
         block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1, max_size=g.n - 1)))
-        table = _block_table(g, block)
+        table = _block_table(g, index_block(g, block))
         kind = "searched"
-        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink", "grown"]), max_size=3)):
+        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink"]), max_size=3)):
             outside = sorted(set(g.labels) - block)
             if step == "shrink" and len(block) > 1:
                 node = data.draw(st.sampled_from(sorted(block)))
                 table.shrink(g.index_of(node))
                 block -= {node}
-            elif step != "shrink" and len(outside) > 1:
+            elif step == "grow" and len(outside) > 1:
                 node = data.draw(st.sampled_from(outside))
-                if step == "grown":
-                    table = table.grown(g.index_of(node))
-                else:
-                    table.grow(g.index_of(node))
+                table.grow(g.index_of(node))
                 block |= {node}
             else:
                 continue
@@ -731,7 +703,7 @@ def test_a_join_counts_what_the_row_walk_counts():
         assert_same_table(g, table, block)
 
     check()
-    assert seen == {"searched", "grow", "shrink", "grown", "no link", "two components"}
+    assert seen == {"searched", "grow", "shrink", "no link", "two components"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -749,7 +721,7 @@ def test_tables_after_a_run_are_the_live_blocks_and_fresh(data):
     )
     model = MyersonModel.bind(g, r)
     final, _ = model.better_response(p, schedule)
-    assert set(model.tables) <= set(final.blocks)
+    assert set(model.tables) <= {index_block(g, b) for b in final.blocks}
     for node in sorted(final.nodes):
         for mv in enumerate_deviations(final, node):
             assert model.gain(final, mv) == ref_gain(g, final, mv, r)
@@ -783,7 +755,7 @@ class TestTableCache:
             for mv in enumerate_deviations(p, node):
                 model.gain(p, mv)
                 evaluated += 1
-        assert sorted(map(sorted, searched)) == sorted(map(sorted, p.blocks))
+        assert sorted(map(sorted, searched)) == sorted(sorted(index_block(g, b)) for b in p.blocks)
         assert model.misses == len(p.blocks)
         assert model.hits > evaluated  # source and target lookups after the first
 
@@ -792,8 +764,8 @@ class TestTableCache:
         model = MyersonModel.bind(g, Fraction(1, 2))
         node = min(p.blocks[0])
         model.gain(p, Move(node, 0, 1))
-        assert searched == [p.blocks[0], p.blocks[1]]
-        assert p.blocks[1] | {node} not in model.tables
+        assert searched == [index_block(g, p.blocks[0]), index_block(g, p.blocks[1])]
+        assert index_block(g, p.blocks[1] | {node}) not in model.tables
 
     def test_a_run_builds_no_block_twice(self, searched, graph_and_start):
         # Tables follow the live blocks: after a run every cached table is
@@ -805,12 +777,12 @@ class TestTableCache:
         final, trace = model.better_response(p)
         assert len(searched) == len(set(searched)) == model.misses
         assert model.hits > 0
-        assert set(model.tables) <= set(final.blocks)
+        assert set(model.tables) <= {index_block(g, b) for b in final.blocks}
         grown = set()
         q = p
         for step in trace.steps:
             if not step.move.is_fresh:
-                grown.add(q.blocks[step.move.target] | {step.move.node})
+                grown.add(index_block(g, q.blocks[step.move.target] | {step.move.node}))
             q = apply_move(q, step.move)
         assert grown and not grown & set(searched)
 
@@ -829,8 +801,8 @@ class TestTableCache:
             left += len(q.blocks[step.move.source]) > 1
             q = apply_move(q, step.move)
         assert left > 20
-        assert sorted(map(sorted, searched)) == sorted(map(sorted, set(p.blocks) | opened))
-        assert set(model.tables) == set(final.blocks)
+        assert sorted(map(sorted, searched)) == sorted(sorted(index_block(g, b)) for b in set(p.blocks) | opened)
+        assert set(model.tables) == {index_block(g, b) for b in final.blocks}
 
     @pytest.mark.parametrize(
         "graph, start, r, most",
@@ -924,41 +896,11 @@ class TestTableCache:
         assert model.external_stability(grand) == (True, None)
         assert calls == [] and searched == []
 
-    def test_external_check_grows_each_copy_from_the_join_it_valued(self, monkeypatch):
-        # The check values an entry, which leaves that join on the entered
-        # block's table as its stash, then grows a copy of the table by the
-        # same node. The copy grows from the stash: of the 8 joins read, by
-        # 5 payoffs and 3 grows, only the payoffs' are computed. Each copy
-        # is the table of the joined block.
-        g = parse_edge_list(PLANTED.read_text())
-        p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
-        joins, copies = [], []
-        join, grown = _BlockTable.join, _BlockTable.grown
-
-        def watched_join(t, i):
-            held = t.stash
-            stash = join(t, i)
-            joins.append(stash is not held)
-            return stash
-
-        def watched_grown(t, i):
-            copy = grown(t, i)
-            copies.append(copy)
-            assert_same_table(g, copy, frozenset(g.labels[v] for v in copy.pos))
-            return copy
-
-        monkeypatch.setattr(_BlockTable, "join", watched_join)
-        monkeypatch.setattr(_BlockTable, "grown", watched_grown)
-        model = MyersonModel.bind(g, Fraction(1, 2))
-        assert model.external_stability(p) == (False, ("n04", 0))
-        assert len(copies) == 3
-        assert len(joins) == 8 and sum(joins) == 5
-
     def test_external_check_derives_each_entered_block(self, searched):
         # Two beneficial entries are blocked by an incumbent before an
-        # unblocked one is found. Each entered block's table is grown from
-        # a copy of the block's own, so no block is searched twice, and the
-        # copies stay private: the cache keeps the partition's blocks only.
+        # unblocked one is found. Each entered block's table is searched
+        # once and stays private: the cache keeps the partition's blocks
+        # only, and no block is searched twice.
         g = parse_edge_list(PLANTED.read_text())
         p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
         r = Fraction(1, 2)
@@ -971,14 +913,14 @@ class TestTableCache:
         assert entry is not None and len(entered) == 3
         model = MyersonModel.bind(g, r)
         assert model.external_stability(p) == (False, entry)
-        assert set(model.tables) == set(p.blocks)
-        assert not set(entered) & set(searched)
+        assert set(model.tables) == {index_block(g, b) for b in p.blocks}
+        assert {index_block(g, b) for b in entered} <= set(searched)
         assert len(searched) == len(set(searched))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
     def test_only_lookups_and_accepted_moves_write_the_cache(self, data):
-        # The external check keeps its joined copies private, so after any
+        # The external check keeps its joined tables private, so after any
         # sequence of calls on one model every cached table is of a block
         # of a partition passed in or of a run's final partition.
         if data.draw(st.booleans()):
@@ -994,11 +936,11 @@ class TestTableCache:
         allowed = set()
         for call in data.draw(st.lists(calls, min_size=1, max_size=4)):
             p = data.draw(given_partitions)
-            allowed |= set(p.blocks)
+            allowed |= {index_block(g, b) for b in p.blocks}
             if call == "better_response":
                 steps = data.draw(st.one_of(st.none(), st.integers(1, 6)))
                 final, _ = model.better_response(p, Schedule(max_steps=steps))
-                allowed |= set(final.blocks)
+                allowed |= {index_block(g, b) for b in final.blocks}
             else:
                 getattr(model, call)(p)
             assert set(model.tables) <= allowed

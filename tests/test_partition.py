@@ -78,6 +78,11 @@ class TestPartition:
         assert Partition([{"A", "B"}, {"C"}]) == Partition([{"C"}, {"B", "A"}])
         assert Partition([{"A"}, {"B"}]) != Partition([{"A", "B"}])
 
+    def test_equal_partitions_hash_alike_and_key_one_entry(self):
+        p, q = Partition([["A", "B"], ["C"]]), Partition([["C"], ["B", "A"]])
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+
     def test_constructors(self):
         assert len(Partition.singletons("ABC")) == 3
         assert len(Partition.grand("ABC")) == 1
