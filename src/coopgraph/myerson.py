@@ -19,12 +19,11 @@ now: dynamics and the external check value only the blocks it links to.
 A table is searched on a miss, grown in place when better response
 accepts a join into its block and shrunk in place when it accepts a
 leave (a singleton source's table is dropped, so a run leaves the live
-blocks only and a move searches nothing). The external check searches
-each entered block T + {i} and caches none, so the cache holds only
-blocks of the partitions passed in and of runs' partitions. An
-outsider's payoff leaves its counts, buckets, detour pairs and links on
-the table as its one stash; the accepted join that follows grows the
-table from them, and any other join computes its own.
+blocks only and a move searches nothing). The external check grows an
+entered block's table by the entrant and shrinks it back, so
+MyersonModel.table is the one search. An outsider's payoff leaves its
+counts, buckets, detour pairs and links on the table as its one stash;
+a grow that follows reads them, and any other join computes its own.
 
 A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator: the dot product of c with the
@@ -279,9 +278,9 @@ class MyersonModel:
     every geodesic length 1 <= k < n, the model's one use of r. tables
     maps blocks of graph indices to their r-free tables, built on first
     use; hits and misses count lookups. better_response keeps the live
-    blocks' tables only, and external_stability caches no joined block,
-    so every cached table is of a block of a partition passed in or of a
-    run. Labels become graph indices at payoff, gain and
+    blocks' tables only, and external_stability shrinks back each table
+    it grows, so every cached table is of a block of a partition passed
+    in or of a run. Labels become graph indices at payoff, gain and
     partition._index_blocks. Bind with MyersonModel.bind.
     """
 
@@ -343,21 +342,24 @@ class MyersonModel:
         return nash_scan(_MyersonState(self, p))
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
-        """(True, None) when every beneficial entry into a block is blocked
-        by an incumbent whose payoff would strictly drop; otherwise False
-        and the first unblocked (node, block index). The entries are the
-        positive-gain deviations that dynamics and nash_stable walk."""
+        """(True, None) when every beneficial entry (a positive-gain
+        deviation, as dynamics walk them) is blocked by an incumbent whose
+        payoff would strictly drop on the block's table grown by the node;
+        otherwise False and the first unblocked (node, block index)."""
         state = _MyersonState(self, p)
         for i in state.nodes:
             for k, gain in state.deviations(i):
                 if gain <= 0:
                     continue
-                # The node's payoff has cached the block's table; the joined
-                # block's is searched and never cached.
+                # Read the incumbents before grow clears the vectors; grow
+                # reuses the join i's payoff left, shrink restores the table.
                 block = state.blocks[k]
                 t = self.table(block)
-                joined = _block_table(self.g, block | {i})
-                if not any(self._value(joined, j) < self._value(t, j) for j in block):
+                now = [self._value(t, j) for j in block]
+                t.grow(i)
+                blocked = any(self._value(t, j) < v for j, v in zip(block, now))
+                t.shrink(i)
+                if not blocked:
                     return False, (state.labels[i], k)
         return True, None
 

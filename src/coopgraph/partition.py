@@ -278,7 +278,10 @@ def settle(state: DynamicsState, schedule: Schedule = Schedule()) -> str:
     Stops Stable when no node has an improving deviation, CycleDetected
     when a previously seen partition reappears (possible only for payoffs
     without a potential), or CapReached after max_steps accepted moves.
+    Raises ValueError when schedule is not a Schedule.
     """
+    if not isinstance(schedule, Schedule):
+        raise ValueError(f"schedule must be a Schedule, got the {type(schedule).__name__} {schedule!r}")
     nodes = state.nodes
     cap = schedule.max_steps if schedule.max_steps is not None else 1000 * max(len(nodes), 1)
     rng = random.Random(schedule.seed)

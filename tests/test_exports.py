@@ -128,6 +128,20 @@ def test_only_the_engines_entry_reads_index_of():
     assert readers == ["partition._index_blocks"]
 
 
+def test_only_the_myerson_table_lookup_searches_a_block():
+    # Every table the Myerson engine values is searched on a cache miss
+    # and then only grown and shrunk: no other code in the module names
+    # the search, not even to hold it under another name.
+    users = []
+    for node in ast.parse((PACKAGE / "myerson.py").read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if any(isinstance(n, ast.Name) and n.id == "_block_table" for n in ast.walk(member)):
+                name = getattr(member, "name", f"line {member.lineno}")
+                users.append(name if member is node else f"{node.name}.{name}")
+    assert users == ["MyersonModel.table"]
+
+
 def test_no_module_writes_another_objects_private_attribute():
     # x._name may be assigned only where x is self or cls: a private
     # attribute belongs to its own class's code.

@@ -896,31 +896,41 @@ class TestTableCache:
         assert model.external_stability(grand) == (True, None)
         assert calls == [] and searched == []
 
-    def test_external_check_derives_each_entered_block(self, searched):
+    def test_external_check_derives_each_entered_block(self, searched, monkeypatch):
         # Two beneficial entries are blocked by an incumbent before an
-        # unblocked one is found. Each entered block's table is searched
-        # once and stays private: the cache keeps the partition's blocks
-        # only, and no block is searched twice.
+        # unblocked one is found. Each is valued on the entered block's
+        # cached table, grown by the entrant and shrunk back: the check
+        # searches the partition's blocks only, each once, and leaves
+        # every table equal to a fresh search.
         g = parse_edge_list(PLANTED.read_text())
         p = partition_from_json((DATA / "planted30_blocked.json").read_text(), universe=g.labels)
         r = Fraction(1, 2)
         entry = ref_unblocked_entry(g, p, r)
-        entered = []
+        entries = []
         for node, k in ref_beneficial_entries(g, p, r):
-            entered.append(p.blocks[k] | {node})
+            entries.append((g.index_of(node), index_block(g, p.blocks[k])))
             if (node, k) == entry:
                 break
-        assert entry is not None and len(entered) == 3
+        assert entry is not None and len(entries) == 3
+        steps = []
+        grow, shrink = _BlockTable.grow, _BlockTable.shrink
+        monkeypatch.setattr(_BlockTable, "grow", lambda t, i: steps.append(("grow", t, i)) or grow(t, i))
+        monkeypatch.setattr(_BlockTable, "shrink", lambda t, i: steps.append(("shrink", t, i)) or shrink(t, i))
         model = MyersonModel.bind(g, r)
         assert model.external_stability(p) == (False, entry)
-        assert set(model.tables) == {index_block(g, b) for b in p.blocks}
-        assert {index_block(g, b) for b in entered} <= set(searched)
-        assert len(searched) == len(set(searched))
+        blocks = {index_block(g, b) for b in p.blocks}
+        assert set(model.tables) == blocks
+        assert set(searched) == blocks and len(searched) == len(blocks)
+        assert steps == [
+            (kind, model.tables[block], i) for i, block in entries for kind in ("grow", "shrink")
+        ]
+        for block, table in model.tables.items():
+            assert_same_table(g, table, [g.labels[i] for i in block])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
     def test_only_lookups_and_accepted_moves_write_the_cache(self, data):
-        # The external check keeps its joined tables private, so after any
+        # The external check shrinks every table it grows, so after any
         # sequence of calls on one model every cached table is of a block
         # of a partition passed in or of a run's final partition.
         if data.draw(st.booleans()):
@@ -931,16 +941,29 @@ class TestTableCache:
             given_partitions = st.sampled_from(["planted30_blocked.json", "planted30_split.json"]).map(
                 lambda name: partition_from_json((DATA / name).read_text(), universe=g.labels)
             )
-        model = MyersonModel.bind(g, data.draw(DISCOUNTS))
+        r = data.draw(DISCOUNTS)
+        model = MyersonModel.bind(g, r)
         calls = st.sampled_from(["better_response", "nash_stable", "external_stability"])
         allowed = set()
         for call in data.draw(st.lists(calls, min_size=1, max_size=4)):
             p = data.draw(given_partitions)
             allowed |= {index_block(g, b) for b in p.blocks}
+            checked = [p]
             if call == "better_response":
                 steps = data.draw(st.one_of(st.none(), st.integers(1, 6)))
                 final, _ = model.better_response(p, Schedule(max_steps=steps))
                 allowed |= {index_block(g, b) for b in final.blocks}
+                checked.append(final)
             else:
                 getattr(model, call)(p)
+            assert set(model.tables) <= allowed
+            # A grow and shrink in place leave no stale vector, stash or
+            # bucket: the tables equal fresh searches, and the verifiers
+            # answer as a freshly bound model does.
+            for block, table in model.tables.items():
+                assert_same_table(g, table, [g.labels[i] for i in block])
+            for q in checked:
+                fresh = MyersonModel.bind(g, r)
+                assert model.nash_stable(q) == fresh.nash_stable(q)
+                assert model.external_stability(q) == fresh.external_stability(q)
             assert set(model.tables) <= allowed

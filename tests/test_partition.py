@@ -12,11 +12,15 @@ from coopgraph import (
     ROUND_ROBIN,
     SEEDED_RANDOM,
     STABLE,
+    AlphaModel,
     Move,
+    Multigraph,
+    MyersonModel,
     Partition,
     PartitionError,
     Schedule,
     apply_move,
+    better_response,
     canonical_form,
     enumerate_deviations,
     run_dynamics,
@@ -261,6 +265,18 @@ class TestRunDynamics:
         # would pass as a cap of 1.
         with pytest.raises(PartitionError, match="positive"):
             Schedule(max_steps=steps)
+
+    def test_schedule_must_be_a_schedule(self):
+        # Each engine's run reaches settle, which names what it was given
+        # in place of a Schedule.
+        g = Multigraph([("A", "B"), ("B", "C")])
+        p = Partition.singletons(g.labels)
+        with pytest.raises(ValueError, match="schedule must be a Schedule, got the str 'greedy'"):
+            better_response(AlphaModel(Fraction(1, 2)), g, p, "greedy")
+        with pytest.raises(ValueError, match="schedule must be a Schedule, got the NoneType None"):
+            MyersonModel.bind(g, Fraction(1, 2)).better_response(p, None)
+        with pytest.raises(ValueError, match="schedule must be a Schedule, got the dict"):
+            run_dynamics(_pair_payoff([]), p, {"policy": GREEDY_BEST})
 
     @pytest.mark.parametrize("seed", [1.5, True, "1"])
     def test_seed_must_be_an_int(self, seed):
