@@ -22,6 +22,7 @@ from .errors import _INTEGER_RE, SizeGateError
 from .hedonic import (
     AlphaModel,
     Modularity,
+    _check_grid,
     alpha_sweep,
     better_response,
     nash_stable,
@@ -130,10 +131,11 @@ def _emit_partition_report(args, g, command, model, final, trace, elapsed, **fie
 
 def _cmd_partition_hedonic(args) -> int:
     vf, model = _hedonic_model(args)
+    schedule = _schedule(args)
     g = _resolve_graph(args.graph)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    final, trace = better_response(vf, g, start, _schedule(args))
+    final, trace = better_response(vf, g, start, schedule)
     elapsed = time.monotonic() - began
     stable, witness = nash_stable(vf, g, final)
     pot = potential(vf, g, final)
@@ -150,12 +152,13 @@ def _cmd_partition_hedonic(args) -> int:
 
 def _cmd_partition_myerson(args) -> int:
     r = _check_r(parse_rational(args.r))
+    schedule = _schedule(args)
     g = _resolve_graph(args.graph)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
     # One model for the run and both verifiers, which read its cached tables.
     model = MyersonModel.bind(g, r)
-    final, trace = model.better_response(start, _schedule(args))
+    final, trace = model.better_response(start, schedule)
     elapsed = time.monotonic() - began
     stable, witness = model.nash_stable(final)
     externally_stable, entry = model.external_stability(final)
@@ -279,6 +282,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_grid(args.grid)
     g = _resolve_graph(args.graph)
     starts = [_load_partition(path, g) for path in args.starts]
     table = alpha_sweep(g, starts=starts or None, grid=args.grid)
@@ -301,85 +305,122 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _add_schedule_flags(sub) -> None:
-    sub.add_argument("--schedule", choices=sorted(_POLICIES), default=ROUND_ROBIN)
-    sub.add_argument("--seed", type=_integer, default=0)
-    sub.add_argument("--max-steps", type=_integer, default=None)
+def _add_run_flags(p) -> None:
+    p.add_argument("--init", default="singletons")
+    p.add_argument("--schedule", choices=sorted(_POLICIES), default=ROUND_ROBIN)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--max-steps", type=_integer, default=None)
+    p.add_argument("--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _hedonic_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--alpha")
+    p.add_argument("--modularity", action="store_true")
+    p.add_argument("--gamma")
+    p.add_argument("--beta")
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_partition_hedonic)
+
+
+def _myerson_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--r", required=True)
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_partition_myerson)
+
+
+def _value_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument(
+        "--coalition", required=True,
+        help="comma-separated labels; write \\, for a comma in a label, \\\\ for a backslash",
+    )
+    p.add_argument("--r")
+    p.set_defaults(func=_cmd_myerson_value)
+
+
+def _stability_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--partition", required=True)
+    p.add_argument("--model", choices=["hedonic", "myerson"], required=True)
+    p.add_argument("--alpha")
+    p.add_argument("--r")
+    p.add_argument("--external", action="store_true")
+    p.set_defaults(func=_cmd_stability)
+
+
+def _threshold_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--p1", required=True)
+    p.add_argument("--p2", required=True)
+    p.set_defaults(func=_cmd_threshold)
+
+
+def _sweep_flags(p) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--starts", nargs="*", default=[])
+    p.add_argument("--grid", type=_integer, default=20)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_sweep)
+
+
+def _dataset_flags(p) -> None:
+    p.add_argument("--name", required=True)
+    p.add_argument("--emit", choices=["edgelist", "info"], required=True)
+    p.set_defaults(func=_cmd_dataset)
+
+
+# Every command as (name, help, body), in the order help lists them. A
+# body is a function that adds the command's flags, or a (dest, commands)
+# pair for a level of subcommands.
+_COMMANDS = (
+    ("partition", "run better-response dynamics", ("engine", (
+        ("hedonic", "hedonic game dynamics", _hedonic_flags),
+        ("myerson", "Myerson-value dynamics", _myerson_flags),
+    ))),
+    ("myerson", "Myerson value queries", ("query", (
+        ("value", "coalition worth and allocation", _value_flags),
+    ))),
+    ("stability", "verify a partition", _stability_flags),
+    ("threshold", "exact alpha where two partitions tie", _threshold_flags),
+    ("sweep", "alpha sweep table", _sweep_flags),
+    ("dataset", "bundled datasets", _dataset_flags),
+)
+
+
+def _add_commands(parser, dest, commands, argv) -> None:
+    # Build only the command that argv's next word names. The level's
+    # metavar is then the string argparse derives from the full choices, so
+    # usage lines read the same; a full level sets none, as its errors name
+    # it by dest. A word that names nothing (-h, a typo, no word) gets every
+    # command below it, since help and that word's error list them all.
+    word = argv[0] if argv else None
+    named = [c for c in commands if c[0] == word]
+    metavar = "{" + ",".join(c[0] for c in commands) + "}" if named else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, help_text, body in named or commands:
+        child = sub.add_parser(name, help=help_text)
+        if callable(body):
+            body(child)
+        else:
+            _add_commands(child, *body, argv[1:] if named else None)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser: the full tree, or given the argv it will parse,
+    only the commands argv names, with the same help, usage and errors."""
     parser = argparse.ArgumentParser(
         prog="coopgraph",
         description="Community detection via cooperative games, in exact rational arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_partition = sub.add_parser("partition", help="run better-response dynamics")
-    engines = p_partition.add_subparsers(dest="engine", required=True)
-
-    ph = engines.add_parser("hedonic", help="hedonic game dynamics")
-    ph.add_argument("--graph", required=True)
-    ph.add_argument("--alpha")
-    ph.add_argument("--modularity", action="store_true")
-    ph.add_argument("--gamma")
-    ph.add_argument("--beta")
-    ph.add_argument("--init", default="singletons")
-    _add_schedule_flags(ph)
-    ph.add_argument("--out")
-    ph.set_defaults(func=_cmd_partition_hedonic)
-
-    pm = engines.add_parser("myerson", help="Myerson-value dynamics")
-    pm.add_argument("--graph", required=True)
-    pm.add_argument("--r", required=True)
-    pm.add_argument("--init", default="singletons")
-    _add_schedule_flags(pm)
-    pm.add_argument("--out")
-    pm.set_defaults(func=_cmd_partition_myerson)
-
-    p_myerson = sub.add_parser("myerson", help="Myerson value queries")
-    msub = p_myerson.add_subparsers(dest="query", required=True)
-    mv = msub.add_parser("value", help="coalition worth and allocation")
-    mv.add_argument("--graph", required=True)
-    mv.add_argument(
-        "--coalition", required=True,
-        help="comma-separated labels; write \\, for a comma in a label, \\\\ for a backslash",
-    )
-    mv.add_argument("--r")
-    mv.set_defaults(func=_cmd_myerson_value)
-
-    st = sub.add_parser("stability", help="verify a partition")
-    st.add_argument("--graph", required=True)
-    st.add_argument("--partition", required=True)
-    st.add_argument("--model", choices=["hedonic", "myerson"], required=True)
-    st.add_argument("--alpha")
-    st.add_argument("--r")
-    st.add_argument("--external", action="store_true")
-    st.set_defaults(func=_cmd_stability)
-
-    th = sub.add_parser("threshold", help="exact alpha where two partitions tie")
-    th.add_argument("--graph", required=True)
-    th.add_argument("--p1", required=True)
-    th.add_argument("--p2", required=True)
-    th.set_defaults(func=_cmd_threshold)
-
-    sw = sub.add_parser("sweep", help="alpha sweep table")
-    sw.add_argument("--graph", required=True)
-    sw.add_argument("--starts", nargs="*", default=[])
-    sw.add_argument("--grid", type=_integer, default=20)
-    sw.add_argument("--out")
-    sw.set_defaults(func=_cmd_sweep)
-
-    ds = sub.add_parser("dataset", help="bundled datasets")
-    ds.add_argument("--name", required=True)
-    ds.add_argument("--emit", choices=["edgelist", "info"], required=True)
-    ds.set_defaults(func=_cmd_dataset)
-
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -377,6 +377,11 @@ class SweepTable(_Record):
     rows: tuple[SweepRow, ...]
 
 
+def _check_grid(grid) -> None:
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
+
+
 def alpha_sweep(
     g: Multigraph,
     candidates: Optional[Iterable[Partition]] = None,
@@ -406,8 +411,7 @@ def alpha_sweep(
     lo, hi = (_exact(a, "alpha range") for a in alpha_range)
     if not (0 <= lo < hi <= 1):
         raise ValueError(f"alpha range must satisfy 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
-        raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
+    _check_grid(grid)
     structure = HedonicModel.bind(AlphaModel(0), g)
     if candidates is not None:
         if starts is not None:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from coopgraph import (
     nash_stable,
     potential,
 )
-from coopgraph.cli import cli_dispatch
+from coopgraph.cli import build_parser, cli_dispatch
 from coopgraph.datasets import karate_split_15_19
 from coopgraph.reports import (
     format_rational,
@@ -715,11 +717,14 @@ class TestUsageErrors:
                 "--alpha applies to the hedonic model only",
             ),
             (("stability", "--partition", "p.json", "--model", "myerson", "--r", "-1"), "discount r must lie in [0, 1]"),
+            (("partition", "hedonic", "--alpha", "1/5", "--max-steps", "0"), "max_steps must be None or a positive int, got 0"),
+            (("partition", "myerson", "--r", "1/2", "--max-steps", "0"), "max_steps must be None or a positive int, got 0"),
+            (("sweep", "--grid", "0"), "grid must be an int of at least 1, got 0"),
         ],
         ids=[
             "alpha-and-modularity", "malformed-beta", "gamma-with-alpha", "r-above-one", "repeated-member",
             "value-r-above-one", "myerson-without-r", "hedonic-without-alpha", "external-for-hedonic",
-            "alpha-for-myerson", "negative-r",
+            "alpha-for-myerson", "negative-r", "hedonic-max-steps-zero", "myerson-max-steps-zero", "grid-zero",
         ],
     )
     def test_flag_errors_come_before_any_file_is_read(self, capsys, tmp_path, argv, named):
@@ -733,6 +738,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ((), "coopgraph: error: the following arguments are required: command\n"),
+            (("myerson",), "coopgraph myerson: error: the following arguments are required: query\n"),
+            (("partition", "frobnicate"), "coopgraph partition: error: argument engine: invalid choice: 'frobnicate'"),
+        ],
+        ids=["command", "query", "engine"],
+    )
+    def test_errors_name_a_level_by_its_dest(self, capsys, argv, named):
+        # A metavar would take the dest's place in these messages.
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert named in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "dataset", "--name", "karate", "--emit", "info", "--bogus")
         assert code == 2
@@ -745,6 +765,85 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "neither a dataset" in err
+
+
+# Per command: the words that name it, flags that parse (the first two a
+# required flag and its value), and a flag with a value it refuses.
+_COMMAND_PATHS = {
+    "partition-hedonic": (("partition", "hedonic"), ("--graph", "example1", "--alpha", "1/5"), ("--schedule", "sideways")),
+    "partition-myerson": (("partition", "myerson"), ("--graph", "example1", "--r", "1/2"), ("--schedule", "sideways")),
+    "myerson-value": (("myerson", "value"), ("--graph", "example1", "--coalition", "A,B"), None),
+    "stability": (("stability",), ("--graph", "example1", "--partition", "p.json", "--model", "hedonic"), ("--model", "both")),
+    "threshold": (("threshold",), ("--graph", "example1", "--p1", "a.json", "--p2", "b.json"), None),
+    "sweep": (("sweep",), ("--graph", "example1", "--grid", "4"), ("--grid", "four")),
+    "dataset": (("dataset",), ("--name", "karate", "--emit", "info"), ("--emit", "yaml")),
+}
+
+
+def _parser_corpus():
+    for name, (words, flags, bad) in _COMMAND_PATHS.items():
+        yield f"{name}-ok", (*words, *flags)
+        yield f"{name}-help", (*words, "-h")
+        yield f"{name}-missing-required", (*words, *flags[2:])
+        yield f"{name}-unknown-flag", (*words, *flags, "--bogus")
+        yield f"{name}-extra-positional", (*words, *flags, "extra")
+        if bad is not None:
+            yield f"{name}-bad-value", (*words, *flags, *bad)
+    for level in ((), ("partition",), ("myerson",)):
+        name = "-".join(level) or "top"
+        yield f"{name}-no-word", level
+        yield f"{name}-help", (*level, "-h")
+        yield f"{name}-unknown-word", (*level, "frobnicate")
+    yield "help-before-command", ("-h", "partition")
+    yield "help-before-engine", ("partition", "-h", "hedonic")
+
+
+_PARSER_CORPUS = dict(_parser_corpus())
+
+
+class TestParser:
+    @staticmethod
+    def parse(capsys, parser, argv):
+        try:
+            result = parser.parse_args(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", _PARSER_CORPUS.values(), ids=_PARSER_CORPUS.keys())
+    def test_the_parser_argv_names_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
+        # Help wraps at the terminal width, which COLUMNS fixes.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.parse(capsys, build_parser(argv), argv) == self.parse(capsys, build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv, parsers, lookups",
+        [
+            (("partition", "hedonic", "--graph", "example1", "--alpha", "1/5"), 3, 9),
+            (("partition", "myerson", "--graph", "example1", "--r", "1/2"), 3, 9),
+            (("sweep", "--graph", "example1", "--grid", "2"), 2, 6),
+        ],
+        ids=["partition-hedonic", "partition-myerson", "sweep"],
+    )
+    def test_a_command_builds_only_its_own_parser(self, capsys, monkeypatch, argv, parsers, lookups):
+        # The full tree is 10 parsers and 30 gettext lookups.
+        counts = Counter()
+        init, gettext = argparse.ArgumentParser.__init__, argparse._
+
+        def counted_init(parser, *args, **kwargs):
+            counts["parsers"] += 1
+            init(parser, *args, **kwargs)
+
+        def counted_gettext(message):
+            counts["lookups"] += 1
+            return gettext(message)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(argparse, "_", counted_gettext)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert counts == {"parsers": parsers, "lookups": lookups}
 
 
 @pytest.mark.parametrize(
