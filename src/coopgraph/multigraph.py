@@ -6,19 +6,25 @@ pair joined by w parallel edges as w distinct length-1 paths, and the
 weight of a longer shortest path is the product of the multiplicities of
 its links.
 
-Paths inside a coalition are counted on one geodesic table per
-coalition (_BlockTable), built by _block_table from the coalition's
-graph indices: member positions, the links inside the coalition,
-geodesic counts and distance buckets, from one BFS per member over
-those links. A table is searched, grown by a joining node or shrunk by
-a leaving member; every count is a _bfs over its links: a joining
-node's is one BFS from the node, and a shrunk table's rows are searched
-again.
-coalition_path_counts sums its counts per distance; node_path_counts
-reads all members' containment vectors (_containments), a Myerson
-payoff one node's (_BlockTable.counts), in the layout of
-NodePathProfile. Those two take labels and turn them into graph
-indices; every table call takes graph indices.
+Paths inside a coalition are counted from its graph indices: member
+positions and the links inside the coalition (_block_links), and one
+BFS per member over those links. A Myerson model keeps one geodesic
+table per coalition (_BlockTable, built by _block_table): geodesic
+counts and distance buckets, searched, then grown by a joining node or
+shrunk by a leaving member. Every count is a _bfs over its links, save
+one: a joining node with a single link takes that member's counts and
+buckets one level out. A node lies on a geodesic between two other
+members exactly when two of its links inside the coalition go to
+members not linked to each other (_between); a node whose linked
+members are all linked lies only on the geodesics it ends, and its
+pairs are not scanned.
+coalition_path_counts sums the BFS counts per distance, and
+node_path_counts accumulates every member's containment vector from
+the searches (_containments, Brandes' accumulation), with no table; a
+Myerson payoff reads one node's vector from its table
+(_BlockTable.counts). Vectors have the layout of NodePathProfile. The
+two path-count functions take labels and turn them into graph indices;
+every table call takes graph indices.
 """
 
 from __future__ import annotations
@@ -221,10 +227,11 @@ def connected_components(g: Multigraph) -> list[frozenset[str]]:
     return out
 
 
-def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
+def _bfs(adj, source: int) -> tuple[list[int], list[int], list[int]]:
     # BFS layering over adjacency rows {neighbour: multiplicity};
     # parallel edges multiply path counts. Returns hop distances (-1 when
-    # unreachable) and geodesic counts.
+    # unreachable), geodesic counts and the visiting order (source first,
+    # distances nondecreasing, the unreachable left out).
     d = [-1] * len(adj)
     s = [0] * len(adj)
     d[source] = 0
@@ -240,12 +247,12 @@ def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
                 queue.append(w)
             elif dw == dv:
                 s[w] += sv * mult
-    return d, s
+    return d, s, queue
 
 
 def _bfs_counts(g: Multigraph, source: int) -> tuple[list[int], list[int]]:
     # Hop distances and geodesic counts from source over the whole graph.
-    return _bfs(g.adjacency, source)
+    return _bfs(g.adjacency, source)[:2]
 
 
 def geodesic_profile(g: Multigraph):
@@ -324,22 +331,37 @@ class _BlockTable:
             if a is None:
                 v = _containment(*self.join(i)[1:4])
             else:
-                v = _containment(self.sigma[a], self.rows[a], _through(self.rows, self.rows[a]))
+                level = self.rows[a]
+                pairs = _through(self.rows, level) if _between(self.adj, self.adj[a]) else ()
+                v = _containment(self.sigma[a], level, pairs)
             self.vectors[i] = v
         return v
 
     def join(self, i: int) -> tuple:
         """The stash for outside graph index i, computed unless already
-        held: one BFS from i over the block's links gives its geodesic
-        counts si (i's own, 1, last, as in the row it would take), the
-        members by distance as in rows, the pairs _detours finds for it,
-        and its links by row."""
+        held: its geodesic counts si (i's own, 1, last, as in the row it
+        would take), the members by distance as in rows, the pairs
+        _detours finds for it, and its links by row. One BFS from i over
+        the block's links gives the counts and distances; with a single
+        link u they are u's, one level out, and no pair has a geodesic
+        through i."""
         if self.stash is None or self.stash[0] != i:
             pos = self.pos
             link = {pos[u]: mult for u, mult in self.neighbours[i].items() if u in pos}
-            d, si = _bfs(self.adj + [link], len(pos))
-            level = _buckets(d)
-            self.stash = i, si, level, list(_detours(self.rows, level)), link
+            if len(link) == 1:
+                ((u, mult),) = link.items()
+                si = [mult * c for c in self.sigma[u]] + [1]
+                row = self.rows[u]
+                top = len(row)
+                while top > 1 and not row[top - 1]:
+                    top -= 1
+                level = [row[0].copy(), {u}, *map(set.copy, row[1:top])]
+                pairs = []
+            else:
+                d, si, _ = _bfs(self.adj + [link], len(pos))
+                level = _buckets(d)
+                pairs = list(_detours(self.rows, level)) if _between(self.adj, link) else []
+            self.stash = i, si, level, pairs, link
         return self.stash
 
     def grow(self, i: int) -> None:
@@ -390,7 +412,7 @@ class _BlockTable:
         p = pos.pop(i)
         si, level = sigma[p], rows[p]
         lost = set()
-        for s, a, _, b, near in _through(rows, level):
+        for s, a, _, b, near in _through(rows, level) if _between(adj, adj[p]) else ():
             if s in lost:
                 continue
             for t in near:
@@ -430,7 +452,7 @@ class _BlockTable:
         for row in sigma:
             row.pop()
         for s in lost:
-            ds, ss = _bfs(adj, s)
+            ds, ss, _ = _bfs(adj, s)
             for d, ring in enumerate(rows[s]):
                 for t in ring:
                     if max(ds[t], 0) != d:
@@ -457,17 +479,38 @@ def _buckets(dist_row: list[int]) -> list[set]:
     return row
 
 
-def _block_table(g: Multigraph, block: Iterable[int]) -> _BlockTable:
-    # The block's graph indices in ascending order (the node order of
-    # induced_subgraph), then one BFS per member over the links inside.
+def _block_links(g: Multigraph, block: Iterable[int]) -> tuple[dict[int, int], list[dict]]:
+    # The block's positions, its graph indices in ascending order (the
+    # node order of induced_subgraph), and each member's links inside it
+    # by position.
     members = sorted(block)
     if not members:
         raise ValueError("coalition must be nonempty")
     pos = {v: a for a, v in enumerate(members)}
     adj = g.adjacency
-    local = [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
-    searched = [_bfs(local, a) for a in range(len(members))]
-    return _BlockTable(adj, pos, local, [s for _, s in searched], [_buckets(d) for d, _ in searched])
+    return pos, [{pos[w]: mult for w, mult in adj[v].items() if w in pos} for v in members]
+
+
+def _block_table(g: Multigraph, block: Iterable[int]) -> _BlockTable:
+    # One BFS per member over the links inside the block.
+    pos, local = _block_links(g, block)
+    searched = [_bfs(local, a) for a in range(len(local))]
+    return _BlockTable(g.adjacency, pos, local, [s for _, s, _ in searched], [_buckets(d) for d, _, _ in searched])
+
+
+def _between(adj: list[dict], links: Iterable[int]) -> bool:
+    # Whether a node with these links (rows of adj) lies on a geodesic
+    # between two other members: exactly when two of them are not linked,
+    # for then they are two apart through it; if all are linked, every
+    # path through the node has a shortcut. Stops at the first such pair.
+    seen = []
+    for u in links:
+        row = adj[u]
+        for v in seen:
+            if v not in row:
+                return True
+        seen.append(u)
+    return False
 
 
 def _detours(rows: list[list[set]], level: list[set]) -> Iterator[tuple]:
@@ -518,30 +561,31 @@ def _containment(si: list[int], level: list[set], pairs: Iterable[tuple]) -> lis
     return [c // 2 for c in counts]
 
 
-def _containments(t: _BlockTable) -> list[list[int]]:
-    # Brandes' accumulation, a backward pass per row s: h[v] = x^d(s,v) +
-    # mult h[w] over v's links w a bucket farther, and v gains sigma(s,v)
-    # h[v]. Doubled counts, x^d at bit d * width: sigma(s,v) sigma(v,t)
-    # <= sigma(s,t) keeps each field below sum(sigma).
-    length = max(map(len, t.rows)) - 1
-    width = sum(map(sum, t.sigma)).bit_length() + 1
-    links = [list(a.items()) for a in t.adj]
-    q = len(links)
-    total, h = [0] * q, [0] * q
-    for s, (row, sig) in enumerate(zip(t.rows, t.sigma)):
-        dist = [0] * q
-        for d in range(1, len(row)):
-            for v in row[d]:
-                dist[v] = d
-        for d in range(len(row) - 1, 0, -1):
-            x, e = 1 << d * width, d + 1
-            for v in row[d]:
-                hv = x
+def _containments(adj: list[dict]) -> list[list[int]]:
+    # Brandes' accumulation over a coalition's links (adj[a] maps row to
+    # multiplicity): one BFS per member s, then a backward pass in reverse
+    # visiting order, h[v] = x^d(s,v) + mult h[w] over v's links w one
+    # level farther (a link reaches no farther, and from the farthest
+    # level nowhere), and v gains sigma(s,v) h[v]. Doubled counts, x^d at
+    # bit d * width: sigma(s,v) sigma(v,t) <= sigma(s,t) keeps each field
+    # below sum(sigma).
+    searched = [_bfs(adj, s) for s in range(len(adj))]
+    length = max(max(d) for d, _, _ in searched)
+    width = sum(sum(sig) for _, sig, _ in searched).bit_length() + 1
+    power = [1 << d * width for d in range(length + 1)]
+    links = [list(a.items()) for a in adj]
+    total, h = [0] * len(adj), [0] * len(adj)
+    for s, (dist, sig, order) in enumerate(searched):
+        top = dist[order[-1]]
+        for v in order[:0:-1]:
+            d = dist[v]
+            hv = power[d]
+            if d < top:
                 for w, mult in links[v]:
-                    if dist[w] == e:
+                    if dist[w] > d:
                         hv += mult * h[w]
-                h[v] = hv
-                total[v] += sig[v] * hv
+            h[v] = hv
+            total[v] += sig[v] * hv
         total[s] += sum(mult * h[w] for w, mult in links[s])
     mask = (1 << width) - 1
     return [[(c >> k * width & mask) >> 1 for k in range(1, length + 1)] for c in total]
@@ -549,18 +593,21 @@ def _containments(t: _BlockTable) -> list[list[int]]:
 
 def coalition_path_counts(g: Multigraph, coalition: Iterable[str]) -> PathProfile:
     """Geodesic path counts inside g restricted to the coalition, summed
-    per distance over the rows of its geodesic table."""
-    t = _block_table(g, {g.index_of(u) for u in coalition})
-    counts = [0] * (max(map(len, t.rows)) - 1)
-    for s, row in zip(t.sigma, t.rows):
-        get = s.__getitem__
-        for d, ring in enumerate(row[1:]):
-            counts[d] += sum(map(get, ring))
+    per distance from one BFS per member over the coalition's links."""
+    _, adj = _block_links(g, {g.index_of(u) for u in coalition})
+    counts: list[int] = []
+    for a in range(len(adj)):
+        d, s, order = _bfs(adj, a)
+        for t in order[1:]:
+            # The visiting order never skips a distance.
+            if d[t] > len(counts):
+                counts.append(0)
+            counts[d[t] - 1] += s[t]
     return PathProfile(tuple(c // 2 for c in counts))
 
 
 def node_path_counts(g: Multigraph, coalition: Iterable[str]) -> NodePathProfile:
     """Per-node geodesic containment counts inside g restricted to the coalition."""
-    t = _block_table(g, {g.index_of(u) for u in coalition})
-    vecs = _containments(t)
-    return NodePathProfile({g.label_of(v): tuple(vecs[a]) for v, a in t.pos.items()}, len(vecs[0]))
+    pos, adj = _block_links(g, {g.index_of(u) for u in coalition})
+    vecs = _containments(adj)
+    return NodePathProfile({g.label_of(v): tuple(vecs[a]) for v, a in pos.items()}, len(vecs[0]))

@@ -7,12 +7,12 @@ value of the component-additive game; the Shapley-form computation is
 kept as an exponential-size oracle for cross-checking.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
-r), which caches one geodesic table per block (multigraph._BlockTable,
-the table node_path_counts reads), keyed by the frozenset of the block's
-graph indices. The table gives any node's count vector of the geodesics
-through it in the block it would join, and remembers it until the table
-changes; a joining node needs no table of the joined block. The vectors
-do not depend on r: the model only weighs them. In a block it has no
+r), which caches one geodesic table per block (multigraph._BlockTable),
+keyed by the frozenset of the block's graph indices. The table gives
+any node's count vector of the geodesics through it in the block it
+would join, and remembers it until the table changes; a joining node
+needs no table of the joined block. The vectors do not depend on r:
+the model only weighs them. In a block it has no
 link to, or a fresh one, a node is isolated and paid 0, never more than
 now: dynamics and the external check value only the blocks it links to.
 
@@ -29,8 +29,9 @@ A payoff is sum_k c_k r^k / (k+1) for the count vector c, kept as an
 integer over one common denominator: the dot product of c with the
 model's weights. Dynamics build a Fraction only for a trace step, when
 a trace is asked for. Report allocations come from
-node_path_counts, which searches a table of its own (the benchmark
-traces that call) and counts all members at once.
+node_path_counts (the benchmark traces that call), which builds no
+table: it searches the coalition's links once per member and counts
+all members at once.
 
 The game has no potential, so dynamics run on partition.settle with a
 cycle key: the set of the blocks' graph-index frozensets.

@@ -81,7 +81,7 @@ def test_every_private_helper_has_a_caller():
     assert dead == []
 
 
-TABLE_HELPERS = {"_containment", "_through", "_detours", "_containments", "_buckets"}
+TABLE_HELPERS = {"_containment", "_through", "_detours", "_containments", "_buckets", "_between", "_block_links"}
 
 
 def test_only_multigraph_knows_the_block_table_layout():
@@ -129,17 +129,19 @@ def test_only_the_engines_entry_reads_index_of():
 
 
 def test_only_the_myerson_table_lookup_searches_a_block():
-    # Every table the Myerson engine values is searched on a cache miss
-    # and then only grown and shrunk: no other code in the module names
-    # the search, not even to hold it under another name.
+    # Every table the package values is searched on a cache miss and then
+    # only grown and shrunk: no other code in any module names the search,
+    # not even to hold it under another name. Path counts and allocations
+    # search the coalition's links without a table.
     users = []
-    for node in ast.parse((PACKAGE / "myerson.py").read_text()).body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for member in members:
-            if any(isinstance(n, ast.Name) and n.id == "_block_table" for n in ast.walk(member)):
-                name = getattr(member, "name", f"line {member.lineno}")
-                users.append(name if member is node else f"{node.name}.{name}")
-    assert users == ["MyersonModel.table"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if any(isinstance(n, ast.Name) and n.id == "_block_table" for n in ast.walk(member)):
+                    name = getattr(member, "name", f"line {member.lineno}")
+                    users.append(f"{path.stem}.{name}" if member is node else f"{path.stem}.{node.name}.{name}")
+    assert users == ["myerson.MyersonModel.table"]
 
 
 def test_no_module_writes_another_objects_private_attribute():

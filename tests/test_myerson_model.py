@@ -7,8 +7,8 @@ the joined block, and the tables of the two blocks an accepted move
 creates changed in place: the target's grown, the source's shrunk. The
 tests read a table's distances from its buckets, its only record of
 them.
-node_path_counts and coalition_path_counts read a table of the same
-kind. The references in conftest share none of that:
+node_path_counts and coalition_path_counts search the coalition's
+links with no table. The references in conftest share none of that:
 reference_node_path_counts is the direct cubic loop over (x, s, t) on
 the induced subgraph, brute_force_profiles enumerates simple paths,
 reference_containment scans every pair of a block, reference_entry
@@ -21,6 +21,7 @@ reference payoff.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -52,7 +53,7 @@ from coopgraph import (
     run_dynamics,
 )
 from coopgraph import multigraph, myerson
-from coopgraph.multigraph import _BlockTable, _containment, _containments, _detours, _through
+from coopgraph.multigraph import _bfs, _BlockTable, _buckets, _containment, _containments, _detours, _through
 from coopgraph.myerson import _block_table
 from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
@@ -138,11 +139,12 @@ def test_node_path_counts_matches_the_cubic_reference(data):
 
 
 def test_one_accumulation_counts_what_each_members_scan_counts():
-    # _containments against _containment over each member's own row, on
-    # tables searched and then grown and shrunk in turn. seen records that
-    # the runs cover rows swapped by a shrink, members the block's other
-    # members cannot reach, and a single member. Multiplicities up to
-    # 10**6 stress the width of the packed fields.
+    # _containments over a table's links against _containment over each
+    # member's own row, on tables searched and then grown and shrunk in
+    # turn; its vectors run to the block's largest distance. seen records
+    # that the runs cover rows swapped by a shrink, members the block's
+    # other members cannot reach, and a single member. Multiplicities up
+    # to 10**6 stress the width of the packed fields.
     seen = set()
 
     @SETTINGS
@@ -158,10 +160,11 @@ def test_one_accumulation_counts_what_each_members_scan_counts():
                 seen.add("disconnected")
             if len(rows) == 1:
                 seen.add("singleton")
-            got = _containments(table)
+            got = _containments(table.adj)
             assert len(got) == len(rows)
+            length = max(map(max, all_distances(table)))
             for a, row in enumerate(rows):
-                assert len(got[a]) == max(map(len, rows)) - 1
+                assert len(got[a]) == length
                 want = _containment(table.sigma[a], row, _through(rows, row))
                 assert without_trailing_zeros(got[a]) == without_trailing_zeros(want)
 
@@ -522,22 +525,27 @@ def test_a_table_filled_at_one_discount_serves_another(data):
 
 
 def test_a_remembered_vector_is_the_node_path_counts_vector():
-    # On a table searched, then grown or shrunk in turn, every node's
-    # vector is counted and remembered: a member's must be
-    # its node_path_counts vector in the block, an outsider's its vector
-    # in the joined block, up to trailing zeros. seen records that the
-    # runs cover each kind of table.
+    # On a model's cached table, searched and then grown or shrunk in
+    # random turns, every node's vector is counted and remembered: a
+    # member's must be its node_path_counts vector in the block, an
+    # outsider's its vector in the joined block, up to trailing zeros.
+    # After each step the table must equal the search, and _containments
+    # over its live links must give every member's node_path_counts
+    # vector. seen records that the runs cover each kind of table, and
+    # entrants and leavers with one link inside the block.
     seen = set()
 
     @SETTINGS
     @given(st.data())
     def check(data):
-        g = data.draw(graphs())
+        g = data.draw(graphs(max_nodes=9))
+        model = MyersonModel.bind(g, 1)
         block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
-        table = _block_table(g, index_block(g, block))
+        table = model.table(index_block(g, block))
 
         def compare(kind):
             seen.add(kind)
+            assert_same_table(g, table, block)
             for i in range(g.n):
                 table.counts(i)
             assert table.vectors.keys() == set(range(g.n))
@@ -545,22 +553,32 @@ def test_a_remembered_vector_is_the_node_path_counts_vector():
                 node = g.labels[i]
                 want = node_path_counts(g, block | {node}).counts[node]
                 assert without_trailing_zeros(vec) == without_trailing_zeros(want)
+            want = node_path_counts(g, block).counts
+            got = _containments(table.adj)
+            assert {g.labels[i]: tuple(got[a]) for i, a in table.pos.items()} == want
 
         compare("searched")
-        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink"]), max_size=4)):
+        for step in data.draw(st.lists(st.sampled_from(["grow", "shrink"]), max_size=8)):
             node = data.draw(st.sampled_from(g.labels))
+            i = g.index_of(node)
+            others = index_block(g, block - {node})
+            links = sum(u in others for u in g.adjacency[i])
             if step == "shrink" and node in block and len(block) > 1:
-                table.shrink(g.index_of(node))
-                block -= {node}
+                table.shrink(i)
+                changed = block - {node}
             elif step == "grow" and node not in block:
-                table.grow(g.index_of(node))
-                block |= {node}
+                table.grow(i)
+                changed = block | {node}
             else:
                 continue
+            model.tables[index_block(g, changed)] = model.tables.pop(index_block(g, block))
+            block = changed
+            if links == 1:
+                seen.add(f"leaf {step}")
             compare(step)
 
     check()
-    assert seen == {"searched", "grow", "shrink"}
+    assert seen == {"searched", "grow", "shrink", "leaf grow", "leaf shrink"}
 
 
 class CheckedState(myerson._MyersonState):
@@ -704,6 +722,66 @@ def test_a_join_counts_what_the_row_walk_counts():
 
     check()
     assert seen == {"searched", "grow", "shrink", "no link", "two components"}
+
+
+def test_a_node_is_on_no_geodesic_exactly_when_its_linked_members_are_all_linked():
+    # On tables searched, then grown and shrunk in turn: _through for a
+    # member, and _detours for an outsider (its buckets from the row
+    # walk), find a pair exactly when two of the members the node links
+    # to are not linked to each other, and the outsider's join holds
+    # those pairs. A join with one link must hold the stash the search
+    # over the block's links builds: its counts, its buckets, none of
+    # them a trailing empty one, and no pair. seen records that the runs
+    # cover disconnected blocks, outsiders with no link, one link and
+    # links apart, members with links apart and with two or more links
+    # all linked, and one-link joins at a row with a trailing empty bucket.
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        g = data.draw(graphs(max_nodes=9))
+        block = frozenset(data.draw(st.sets(st.sampled_from(g.labels), min_size=1)))
+        table = _block_table(g, index_block(g, block))
+        for node in data.draw(st.lists(st.sampled_from(g.labels), max_size=4)):
+            if node not in block:
+                table.grow(g.index_of(node))
+                block |= {node}
+            elif len(block) > 1:
+                table.shrink(g.index_of(node))
+                block -= {node}
+        rows, adj, pos = table.rows, g.adjacency, table.pos
+        if any(row[0] for row in rows):
+            seen.add("disconnected")
+        for i in range(g.n):
+            linked = [u for u in adj[i] if u in pos]
+            apart = any(v not in adj[u] for u, v in combinations(linked, 2))
+            if i in pos:
+                seen.add("member apart" if apart else "member clique" if len(linked) > 1 else "member")
+                assert any(_through(rows, rows[pos[i]])) == apart
+                continue
+            seen.add("apart" if apart else f"{min(len(linked), 2)} links")
+            pairs = list(_detours(rows, reference_entry(table, adj[i])[1]))
+            assert bool(pairs) == apart
+            stash = table.join(i)
+            assert sorted_pairs(stash[3]) == sorted_pairs(pairs)
+            if len(linked) == 1:
+                (u,) = stash[4]
+                if not rows[u][-1]:
+                    seen.add("trailing")
+                d, si, _ = _bfs(table.adj + [stash[4]], len(pos))
+                assert stash[1:4] == (si, _buckets(d), [])
+                assert stash[2][-1]
+
+    check()
+    assert seen == {
+        "disconnected", "0 links", "1 links", "apart", "2 links",
+        "member", "member apart", "member clique", "trailing",
+    }
+
+
+def sorted_pairs(pairs):
+    return sorted((s, a, d, b, sorted(near)) for s, a, d, b, near in pairs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
