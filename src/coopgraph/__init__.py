@@ -5,16 +5,19 @@ response on a path-discounted coalition worth, and hedonic better
 response on symmetric pair values (alpha model and modularity family).
 All game arithmetic is exact (fractions), so stability thresholds and
 sweep breakpoints come out as exact rationals.
+
+The reference paths that tests compare the engines against live in
+coopgraph.reference; their names here, and in the modules they came
+from, load that module on first use.
 """
 
-from .errors import EdgeListError, PartitionError, SizeGateError
+from .errors import EdgeListError, PartitionError, SizeGateError, _reference_hook
 from .multigraph import (
     Multigraph,
     NodePathProfile,
     PathProfile,
     coalition_path_counts,
     connected_components,
-    geodesic_profile,
     induced_subgraph,
     node_path_counts,
     parse_edge_list,
@@ -32,10 +35,7 @@ from .partition import (
     Schedule,
     Trace,
     TraceStep,
-    apply_move,
     canonical_form,
-    enumerate_deviations,
-    run_dynamics,
 )
 from .myerson import (
     ORACLE_MAX_NODES,
@@ -46,9 +46,7 @@ from .myerson import (
     external_stability_check,
     myerson_allocation,
     myerson_better_response,
-    myerson_gain,
     myerson_nash_stable,
-    myerson_shapley_oracle,
 )
 from .hedonic import (
     BRUTEFORCE_MAX_NODES,
@@ -60,11 +58,7 @@ from .hedonic import (
     SweepTable,
     alpha_sweep,
     better_response,
-    bruteforce_max_partition,
-    iter_set_partitions,
-    move_gain,
     nash_stable,
-    pair_value,
     partition_threshold,
     potential,
     potential_form,
@@ -80,6 +74,11 @@ from .datasets import (
 )
 
 __version__ = "0.1.0"
+
+__getattr__ = _reference_hook(
+    __name__, "apply_move", "enumerate_deviations", "run_dynamics", "geodesic_profile", "pair_value",
+    "move_gain", "iter_set_partitions", "bruteforce_max_partition", "myerson_shapley_oracle", "myerson_gain",
+)
 
 __all__ = [
     "EdgeListError",

@@ -21,10 +21,11 @@ from .datasets import dataset_info, dataset_names, load_dataset
 from .errors import _INTEGER_RE, SizeGateError
 from .hedonic import (
     AlphaModel,
+    HedonicModel,
     Modularity,
+    _BlockState,
     _check_grid,
     alpha_sweep,
-    better_response,
     nash_stable,
     potential,
     potential_form,
@@ -35,20 +36,21 @@ from .myerson import (
     CharPoly,
     MyersonModel,
     _check_r,
+    _MyersonState,
     external_stability_check,
     myerson_allocation,
     myerson_nash_stable,
 )
-from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule
+from .partition import _POLICIES, ROUND_ROBIN, Partition, Schedule, _index_blocks, nash_scan, settle
 from .reports import (
     format_rational,
     graph_digest,
+    log_to_obj,
     move_to_obj,
     parse_rational,
     partition_from_json,
     partition_to_obj,
     sweep_to_csv,
-    trace_to_obj,
 )
 
 def _resolve_graph(arg: str) -> Multigraph:
@@ -113,16 +115,17 @@ def _schedule(args) -> Schedule:
     return Schedule(policy=args.schedule, seed=args.seed, max_steps=args.max_steps)
 
 
-def _emit_partition_report(args, g, command, model, final, trace, elapsed, **fields) -> int:
+def _emit_partition_report(args, g, command, model, final, status, trace, elapsed, **fields) -> int:
+    # trace holds the run's rows, as log_to_obj reads them from its state.
     report = {
         "command": command,
         "input": {"graph": args.graph, "digest": graph_digest(g), "n": g.n, "m": g.m},
         "model": model,
         "schedule": {"policy": args.schedule, "seed": args.seed, "max_steps": args.max_steps},
-        "status": trace.status,
+        "status": status,
         "partition": partition_to_obj(final),
         **fields,
-        "trace": trace_to_obj(trace),
+        "trace": trace,
         "timing_seconds": round(elapsed, 6),
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -135,7 +138,11 @@ def _cmd_partition_hedonic(args) -> int:
     g = _resolve_graph(args.graph)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    final, trace = better_response(vf, g, start, schedule)
+    # The run's state is kept for its log: the report's trace rows come
+    # from it, with no Move or TraceStep per step.
+    state = _BlockState(HedonicModel.bind(vf, g), _index_blocks(g, start))
+    status = settle(state, schedule)
+    final = state.partition()
     elapsed = time.monotonic() - began
     stable, witness = nash_stable(vf, g, final)
     pot = potential(vf, g, final)
@@ -144,7 +151,7 @@ def _cmd_partition_hedonic(args) -> int:
         pot_obj["intercept"] = format_rational(pot.intercept)
         pot_obj["slope"] = format_rational(pot.slope)
     return _emit_partition_report(
-        args, g, "partition-hedonic", model, final, trace, elapsed,
+        args, g, "partition-hedonic", model, final, status, log_to_obj(state.log, state.den), elapsed,
         potential=pot_obj,
         stability={"nash_stable": stable, "witness": move_to_obj(witness)},
     )
@@ -156,21 +163,26 @@ def _cmd_partition_myerson(args) -> int:
     g = _resolve_graph(args.graph)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    # One model for the run and both verifiers, which read its cached tables.
+    # One model for the run and both verifiers, which read its cached
+    # tables; the Nash check scans the run's own final state, and the
+    # trace rows come from its log.
     model = MyersonModel.bind(g, r)
-    final, trace = model.better_response(start, schedule)
+    state = _MyersonState(model, start)
+    status = settle(state, schedule)
+    final = state.partition()
     elapsed = time.monotonic() - began
-    stable, witness = model.nash_stable(final)
+    stable, witness = nash_scan(state)
     externally_stable, entry = model.external_stability(final)
+    trace = log_to_obj(state.log, state.den)
     # Release the model's tables: the allocations below build their own.
-    del model
+    del state, model
     allocation = {}
     for block in sorted(sorted(b) for b in final.blocks):
         alloc = myerson_allocation(g, frozenset(block))
         for node in block:
             allocation[node] = alloc[node].power_strings()
     return _emit_partition_report(
-        args, g, "partition-myerson", {"kind": "myerson", "r": format_rational(r)}, final, trace, elapsed,
+        args, g, "partition-myerson", {"kind": "myerson", "r": format_rational(r)}, final, status, trace, elapsed,
         allocation=allocation,
         stability={
             "nash_stable": stable,

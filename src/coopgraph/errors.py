@@ -1,6 +1,7 @@
 """Shared exception types, the check that keeps floats out, the rules
-that decide which text is an integer or a rational, and the base of the
-frozen public records."""
+that decide which text is an integer or a rational, the base of the
+frozen public records, and the module hook that loads the reference
+paths on first use."""
 
 import re
 from fractions import Fraction
@@ -95,3 +96,20 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _reference_hook(module: str, *names: str):
+    """A module __getattr__ (PEP 562) that serves the given names from
+    coopgraph.reference, importing it on first use; module is the name
+    the AttributeError for any other name gives. No command reads a
+    reference name, so no command compiles or imports that module."""
+    names = frozenset(names)
+
+    def __getattr__(name: str):
+        if name in names:
+            from . import reference
+
+            return getattr(reference, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__

@@ -51,6 +51,11 @@ tracking of Megiddo's parametric search (J. ACM 30(4), 1983), run
 forward. The candidates and the table are those of running every point;
 on the seed-1 alpha-sweep benchmark suite discovery makes 142 runs
 instead of 210.
+
+The reference paths, pair_value and move_gain (each binds a model per
+call) and bruteforce_max_partition with iter_set_partitions, live in
+coopgraph.reference and load from there on first use of their names
+here.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import SizeGateError, _exact, _Record
+from .errors import _exact, _Record, _reference_hook
 from .multigraph import Multigraph
 from .partition import (
     Move,
@@ -76,6 +81,8 @@ from .partition import (
 )
 
 BRUTEFORCE_MAX_NODES = 10
+
+__getattr__ = _reference_hook(__name__, "pair_value", "move_gain", "iter_set_partitions", "bruteforce_max_partition")
 
 
 class AlphaModel(_Record):
@@ -296,14 +303,6 @@ class _BlockState(_IndexState):
             yield None, leave
 
 
-def pair_value(vf: ValueFunction, g: Multigraph, u: str, v: str) -> Fraction:
-    """Symmetric value one node derives from sharing a block with another."""
-    if u == v:
-        raise ValueError("pair value is defined for distinct nodes only")
-    model = HedonicModel.bind(vf, g)
-    return Fraction(model.scaled_pair(g.index_of(u), g.index_of(v)), model.den)
-
-
 def potential_form(g: Multigraph, p: Partition) -> tuple[int, int]:
     """Alpha-model potential as integer (intercept, slope): per block, the
     binarized link count minus alpha times the member-pair count."""
@@ -318,14 +317,6 @@ def _form(structure: HedonicModel, p: Partition) -> tuple[int, int]:
 def potential(vf: ValueFunction, g: Multigraph, p: Partition) -> Potential:
     """Sum of pair values over unordered within-block pairs."""
     return HedonicModel.bind(vf, g).potential(p)
-
-
-def move_gain(vf: ValueFunction, g: Multigraph, p: Partition, mv: Move) -> Fraction:
-    """Utility change for the moving node: value of the target block minus
-    value of the current block without itself. Equals the potential
-    difference of the move exactly, which is what makes better response
-    terminate."""
-    return HedonicModel.bind(vf, g).gain(p, mv)
 
 
 def nash_stable(
@@ -485,73 +476,3 @@ def _envelope(candidates, lo, hi):
         if cut is top:
             return rows
         a, start = cut, end
-
-
-def iter_set_partitions(items: Iterable):
-    """All set partitions of the items (Bell-number many), as tuples of tuples."""
-    pool = list(items)
-    for blocks in _index_partitions(len(pool)):
-        yield tuple(tuple(pool[i] for i in b) for b in blocks)
-
-
-def _index_partitions(n: int):
-    # Yields a live list of lists; consumers must copy what they keep.
-    blocks: list[list[int]] = []
-
-    def rec(i):
-        if i == n:
-            yield blocks
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
-def bruteforce_max_partition(vf: ValueFunction, g: Multigraph) -> tuple[Partition, Potential]:
-    """Global potential maximizer by exhaustive set-partition enumeration.
-
-    Refuses graphs beyond BRUTEFORCE_MAX_NODES (Bell(10) = 115975 already).
-    Potential ties break toward the smallest canonical form."""
-    if g.n > BRUTEFORCE_MAX_NODES:
-        raise SizeGateError(
-            f"brute force is gated at {BRUTEFORCE_MAX_NODES} nodes, got {g.n}"
-        )
-    labels = g.labels
-    n = g.n
-    # The model's scaled pair values keep the enumeration in int arithmetic.
-    model = HedonicModel.bind(vf, g)
-    scaled = [[model.scaled_pair(i, j) for j in range(n)] for i in range(n)]
-
-    best_score = None
-    best_blocks: Optional[list[list[int]]] = None
-    best_key: Optional[bytes] = None
-    for blocks in _index_partitions(n):
-        score = 0
-        for b in blocks:
-            for x in range(len(b)):
-                row = scaled[b[x]]
-                for y in range(x + 1, len(b)):
-                    score += row[b[y]]
-        if best_score is None or score > best_score:
-            best_score = score
-            best_blocks = [list(b) for b in blocks]
-            best_key = None
-        elif score == best_score:
-            key = _canonical_key(labels, blocks)
-            if best_key is None:
-                best_key = _canonical_key(labels, best_blocks)
-            if key < best_key:
-                best_blocks = [list(b) for b in blocks]
-                best_key = key
-    part = Partition([labels[i] for i in b] for b in best_blocks)
-    return part, model.potential(part)
-
-
-def _canonical_key(labels, blocks) -> bytes:
-    return canonical_form(Partition([labels[i] for i in b] for b in blocks))

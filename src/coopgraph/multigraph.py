@@ -25,6 +25,10 @@ Myerson payoff reads one node's vector from its table
 (_BlockTable.counts). Vectors have the layout of NodePathProfile. The
 two path-count functions take labels and turn them into graph indices;
 every table call takes graph indices.
+
+geodesic_profile, all-pairs distances and geodesic counts over the
+whole graph by _bfs_counts, is a reference path: it lives in
+coopgraph.reference and loads from there on first use of its name here.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-from .errors import _INTEGER_RE, EdgeListError, _Record
+from .errors import _INTEGER_RE, EdgeListError, _Record, _reference_hook
+
+__getattr__ = _reference_hook(__name__, "geodesic_profile", "_bfs_counts")
 
 
 class Multigraph:
@@ -248,28 +254,6 @@ def _bfs(adj, source: int) -> tuple[list[int], list[int], list[int]]:
             elif dw == dv:
                 s[w] += sv * mult
     return d, s, queue
-
-
-def _bfs_counts(g: Multigraph, source: int) -> tuple[list[int], list[int]]:
-    # Hop distances and geodesic counts from source over the whole graph.
-    return _bfs(g.adjacency, source)[:2]
-
-
-def geodesic_profile(g: Multigraph):
-    """Hop distances and geodesic counts for all node pairs.
-
-    Returns (dist, sigma) as label-keyed nested dicts. dist[u][v] is None
-    across components, never a sentinel integer. sigma[u][v] sums, over
-    the shortest u-v node sequences, the product of link multiplicities;
-    sigma[u][u] is 1 and 0 across components.
-    """
-    dist: dict[str, dict[str, Optional[int]]] = {}
-    sigma: dict[str, dict[str, int]] = {}
-    for i, u in enumerate(g.labels):
-        d, s = _bfs_counts(g, i)
-        dist[u] = {g.label_of(j): (d[j] if d[j] >= 0 else None) for j in range(g.n)}
-        sigma[u] = {g.label_of(j): s[j] for j in range(g.n)}
-    return dist, sigma
 
 
 class PathProfile(_Record):

@@ -4,7 +4,10 @@ A coalition's worth is the polynomial sum over its geodesics of r^length,
 where r in [0, 1] discounts longer connections. The allocation splits
 each length-k geodesic equally among its k+1 nodes, which is the Myerson
 value of the component-additive game; the Shapley-form computation is
-kept as an exponential-size oracle for cross-checking.
+kept as an exponential-size oracle for cross-checking. That oracle,
+myerson_shapley_oracle, and myerson_gain (which binds a model per call)
+live in coopgraph.reference and load from there on first use of their
+names here.
 
 Gains and stability checks run on one bound object, MyersonModel.bind(g,
 r), which caches one geodesic table per block (multigraph._BlockTable),
@@ -44,12 +47,11 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import SizeGateError, _exact
+from .errors import _exact, _reference_hook
 from .multigraph import (
     Multigraph,
     PathProfile,
     _BlockTable,
-    _bfs_counts,
     _block_table,
     coalition_path_counts,
     node_path_counts,
@@ -67,6 +69,8 @@ from .partition import (
 )
 
 ORACLE_MAX_NODES = 12
+
+__getattr__ = _reference_hook(__name__, "myerson_shapley_oracle", "myerson_gain")
 
 
 class CharPoly:
@@ -185,84 +189,6 @@ def myerson_allocation(g: Multigraph, coalition: Iterable[str]) -> dict[str, Cha
         u: CharPoly(Fraction(c, k + 2) for k, c in enumerate(vec))
         for u, vec in profile.counts.items()
     }
-
-
-def _geodesic_set_weights(g: Multigraph) -> list[int]:
-    # Multiplicity-weighted geodesic counts aggregated by the path's node
-    # set (as a bitmask). A simple path on p nodes always has length p-1,
-    # so the set determines the power of r.
-    n = g.n
-    adj = g.adjacency
-    weights = [0] * (1 << n)
-    for src in range(n):
-        d, _ = _bfs_counts(g, src)
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(n):
-            if d[v] > 0:
-                for u, mult in adj[v].items():
-                    if d[u] == d[v] - 1:
-                        preds[v].append((u, mult))
-        for t in range(src + 1, n):
-            if d[t] < 1:
-                continue
-            stack = [(t, 1 << t, 1)]
-            while stack:
-                v, mask, w = stack.pop()
-                if v == src:
-                    weights[mask] += w
-                    continue
-                for u, mult in preds[v]:
-                    stack.append((u, mask | (1 << u), w * mult))
-    return weights
-
-
-def _subset_value_table(g: Multigraph) -> tuple[CharPoly, ...]:
-    # values[mask] collects the whole-graph geodesics whose nodes all lie
-    # inside mask (a sum of weighted unanimity games), via a subset-sum
-    # transform over the set lattice.
-    n = g.n
-    weights = _geodesic_set_weights(g)
-    maxlen = max(n - 1, 1)
-    rows = [[0] * maxlen for _ in range(1 << n)]
-    for mask, w in enumerate(weights):
-        if w:
-            rows[mask][mask.bit_count() - 2] = w
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if mask & bit:
-                low = rows[mask ^ bit]
-                row = rows[mask]
-                for i, val in enumerate(low):
-                    if val:
-                        row[i] += val
-    return tuple(CharPoly(row) for row in rows)
-
-
-def myerson_shapley_oracle(g: Multigraph, node: str) -> CharPoly:
-    """Myerson value of the node over the whole graph as a Shapley sum of
-    marginal worths, where a coalition's worth collects the whole-graph
-    geodesics it contains.
-
-    That containment game is a sum of weighted unanimity games (one per
-    geodesic), which is what makes the equal-split closed form provable,
-    and this routine shares no counting logic with it. Enumerates all
-    2^(n-1) coalitions, so it refuses graphs beyond ORACLE_MAX_NODES."""
-    n = g.n
-    if n > ORACLE_MAX_NODES:
-        raise SizeGateError(f"Shapley oracle is gated at {ORACLE_MAX_NODES} nodes, got {n}")
-    bit = 1 << g.index_of(node)
-    values = _subset_value_table(g)
-    fact = math.factorial
-    weights = [Fraction(fact(s) * fact(n - s - 1), fact(n)) for s in range(n)]
-    total = CharPoly.zero()
-    for mask in range(1 << n):
-        if mask & bit:
-            continue
-        marginal = values[mask | bit] - values[mask]
-        if marginal:
-            total = total + marginal * weights[mask.bit_count()]
-    return total
 
 
 def _check_r(r) -> Fraction:
@@ -408,14 +334,6 @@ class _MyersonState(_IndexState):
         # Equal exactly when the partitions are; keys share the blocks a
         # move leaves alone.
         return frozenset(self.blocks)
-
-
-def myerson_gain(g: Multigraph, p: Partition, mv: Move, r) -> Fraction:
-    """Payoff change for the moving node at discount r: its Myerson value
-    in the joined coalition minus its value in its current one. A fresh
-    block is a singleton and pays zero. Raises PartitionError for a node
-    outside its source block or a missing target block."""
-    return MyersonModel.bind(g, r).gain(p, mv)
 
 
 def myerson_better_response(

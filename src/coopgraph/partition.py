@@ -5,19 +5,23 @@ object for the exact gain of each deviation (a state may skip those
 that cannot be positive), accepts a move only on strictly positive
 gain, and returns how it stopped (Stable, CycleDetected or CapReached).
 The state logs accepted moves as plain numbers; run_schedule builds the
-trace from the log. run_dynamics adapts a payoff callback to it; the
-hedonic and Myerson engines share one index-array state, _IndexState,
-and nash_scan finds the first improving deviation of any state.
-Potential games stop Stable.
+trace from the log, and the partition commands read the log directly.
+The hedonic and Myerson engines share one index-array state,
+_IndexState, and nash_scan finds the first improving deviation of any
+state. Potential games stop Stable.
+
+The reference paths, apply_move, enumerate_deviations and run_dynamics
+(which adapts a payoff callback to settle), live in coopgraph.reference
+and load from there on first use of their names here.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Protocol
+from typing import Hashable, Iterable, Iterator, Optional, Protocol
 
-from .errors import PartitionError, _exact, _Record
+from .errors import PartitionError, _Record, _reference_hook
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "random"
@@ -27,6 +31,8 @@ _POLICIES = (ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST)
 STABLE = "Stable"
 CAP_REACHED = "CapReached"
 CYCLE_DETECTED = "CycleDetected"
+
+__getattr__ = _reference_hook(__name__, "apply_move", "enumerate_deviations", "run_dynamics", "_CallbackState")
 
 
 class Move(_Record):
@@ -170,31 +176,8 @@ def _check_move(p: Partition, mv: Move) -> None:
         raise PartitionError(f"no such target block: {mv.target}")
 
 
-def apply_move(p: Partition, mv: Move) -> Partition:
-    """Apply a single-node move. The vacated block is dropped when it
-    empties; a fresh block is appended at the end."""
-    _check_move(p, mv)
-    blocks = [set(b) for b in p.blocks]
-    blocks[mv.source].discard(mv.node)
-    if mv.is_fresh:
-        blocks.append({mv.node})
-    else:
-        blocks[mv.target].add(mv.node)
-    return Partition(b for b in blocks if b)
-
-
-def enumerate_deviations(p: Partition, node: str) -> list[Move]:
-    """Every deviation available to the node: each other existing block in
-    index order, then a fresh block unless the node is already alone."""
-    src = p.block_of(node)
-    moves = [Move(node, src, k) for k in range(len(p.blocks)) if k != src]
-    if len(p.blocks[src]) > 1:
-        moves.append(Move(node, src, None))
-    return moves
-
-
 class Schedule(_Record):
-    """Deviation scheduling policy for run_dynamics.
+    """Deviation scheduling policy for settle.
 
     Policies: round-robin (nodes in label order, first improving move),
     random (per-pass node order drawn from the seed), greedy (best gain
@@ -231,19 +214,17 @@ class Trace(_Record):
     status: str
 
 
-PayoffFn = Callable[[Partition, Move], Fraction]
-
-
 class DynamicsState(Protocol):
     """Mutable partition state driven by settle.
 
-    nodes lists the nodes in label order, as labels for _CallbackState
-    and graph indices for the engines' _IndexState. deviations yields
-    (handle, gain) for the deviations of a node, lazily and in
-    enumerate_deviations order, and may skip any that cannot gain; gains
-    are exact, den times the mover's payoff change. accept applies one
-    and appends (node label, source, target, gain) to log; run_schedule
-    builds the trace from log and den, only when a trace is asked for.
+    nodes lists the nodes in label order, as labels for
+    reference._CallbackState and graph indices for the engines'
+    _IndexState. deviations yields (handle, gain) for the deviations of
+    a node, lazily and in enumerate_deviations order, and may skip any
+    that cannot gain; gains are exact, den times the mover's payoff
+    change. accept applies one and appends (node label, source, target,
+    gain) to log; run_schedule builds the trace from log and den, only
+    when a trace is asked for, and a report reads them as they are.
     move(node, handle) names a deviation as a Move on the current
     partition, for nash_scan (_CallbackState, never scanned, has none).
     cycle_key is a hashable key, equal for two partitions iff they are
@@ -353,8 +334,8 @@ def nash_scan(state) -> tuple[bool, Optional[Move]]:
 class _IndexState:
     """The engines' DynamicsState less deviations, over graph indices.
 
-    block[i] is the position of node i's block, numbered as apply_move
-    numbers them (an emptied block is dropped and later positions shift
+    block[i] is the position of node i's block, numbered as
+    reference.apply_move numbers them (an emptied block is dropped and later positions shift
     down; a fresh block is appended); size and total hold each block's
     member count and sum of weight. Gains stay scaled integers, in the
     log too. A game without a potential overrides cycle_key.
@@ -402,44 +383,3 @@ class _IndexState:
     def partition(self) -> Partition:
         labels = self.labels
         return Partition([labels[i] for i in members] for members in self.index_blocks())
-
-
-class _CallbackState:
-    """Immutable Partition values advanced by apply_move, with gains from a
-    payoff callback."""
-
-    def __init__(self, payoff: PayoffFn, start: Partition):
-        self.payoff = payoff
-        self.p = start
-        self.nodes = sorted(start.nodes)
-        self.log: list[tuple] = []
-        self.den = 1
-
-    def deviations(self, node):
-        p = self.p
-        for mv in enumerate_deviations(p, node):
-            yield mv, _exact(self.payoff(p, mv), "gain")
-
-    def accept(self, node, mv: Move, gain) -> None:
-        self.p = apply_move(self.p, mv)
-        self.log.append((node, mv.source, mv.target, gain))
-
-    def cycle_key(self) -> frozenset:
-        return frozenset(self.p.blocks)
-
-    def partition(self) -> Partition:
-        return self.p
-
-
-def run_dynamics(
-    payoff: PayoffFn, start: Partition, schedule: Schedule = Schedule()
-) -> tuple[Partition, Trace]:
-    """run_schedule with gains from a payoff callback.
-
-    payoff(partition, move) must return an exact gain, an int, a Fraction
-    or a "p/q" string; a float or bool raises ValueError at the first
-    deviation. The trace records each accepted move with its gain. Every
-    accepted partition is kept for cycle detection, since a callback need
-    not come from a potential.
-    """
-    return run_schedule(_CallbackState(payoff, start), schedule)

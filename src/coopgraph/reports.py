@@ -2,15 +2,24 @@
 
 Formats are deterministic so that repeated runs produce identical bytes.
 Rationals are always "p/q" strings (plain integers allowed), never
-floats.
+floats. Trace rows come from a Trace (trace_to_obj) or straight from a
+dynamics state's log of scaled integer gains (log_to_obj); both write
+a row's move and gain with the formatters of move_to_obj and
+format_rational.
+
+graph_digest takes SHA-256 from the interpreter's built-in _sha256
+module, as CPython's random module takes _sha512: hashlib loads OpenSSL,
+about 4 ms and 3.5 MiB at the start of every command, for one digest of
+a short edge list. Without that module it falls back to hashlib; the
+digest is the same.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -19,11 +28,21 @@ from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
 from .partition import Move, Partition, Trace, canonical_form
 
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+
 def format_rational(q) -> str:
     q = _exact(q, "rational")
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio(q.numerator, q.denominator)
+
+
+def _ratio(num: int, den: int) -> str:
+    # num / den, den > 0, in lowest terms: "p/q", or "p" for an integer.
+    k = math.gcd(num, den)
+    return str(num // k) if k == den else f"{num // k}/{den // k}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,12 +79,24 @@ def move_to_obj(mv: Optional[Move]) -> Optional[dict]:
     """{"node", "from", "to"} row of a move, "to" a block index or "fresh"; None for None."""
     if mv is None:
         return None
-    return {"node": mv.node, "from": mv.source, "to": "fresh" if mv.is_fresh else mv.target}
+    return _row(mv.node, mv.source, mv.target)
+
+
+def _row(node: str, source: int, target: Optional[int]) -> dict:
+    return {"node": node, "from": source, "to": "fresh" if target is None else target}
 
 
 def trace_to_obj(trace: Trace) -> list[dict]:
     """Accepted moves as move_to_obj rows with an added "gain"."""
     return [{**move_to_obj(step.move), "gain": format_rational(step.gain)} for step in trace.steps]
+
+
+def log_to_obj(log: Iterable[tuple], den: int) -> list[dict]:
+    """trace_to_obj's rows straight from a dynamics state's log, whose
+    entries are (node label, source, target, gain) with gain an int over
+    den (see partition.DynamicsState); no Move, TraceStep or Fraction is
+    built."""
+    return [{**_row(node, s, t), "gain": _ratio(gain, den)} for node, s, t, gain in log]
 
 
 def sweep_to_csv(table: SweepTable) -> str:
@@ -103,4 +134,4 @@ def sweep_to_csv(table: SweepTable) -> str:
 
 def graph_digest(g: Multigraph) -> str:
     """SHA-256 of the canonical edge-list serialization."""
-    return hashlib.sha256(serialize_edge_list(g).encode("utf-8")).hexdigest()
+    return sha256(serialize_edge_list(g).encode("utf-8")).hexdigest()

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,20 +18,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopgraph import (
+    AlphaModel,
+    HedonicModel,
     Modularity,
+    Multigraph,
     MyersonModel,
     Partition,
+    Schedule,
     alpha_sweep,
     better_response,
     component_characteristic,
     load_dataset,
     nash_stable,
     potential,
+    serialize_edge_list,
 )
 from coopgraph.cli import build_parser, cli_dispatch
 from coopgraph.datasets import karate_split_15_19
+from coopgraph.hedonic import _BlockState
+from coopgraph.myerson import _MyersonState
+from coopgraph.partition import _index_blocks, run_schedule, settle
 from coopgraph.reports import (
     format_rational,
+    graph_digest,
+    log_to_obj,
     parse_rational,
     partition_to_json,
     partition_from_json,
@@ -39,6 +50,8 @@ from coopgraph.reports import (
     sweep_to_csv,
     trace_to_obj,
 )
+
+from conftest import random_multigraph, random_partition
 
 
 def run(capsys, *argv):
@@ -86,6 +99,48 @@ class TestRationals:
         for bad in ("0.5", "1e-3", "a/b", "3/0", ""):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+# Whitespace-free labels without '#', non-ASCII ones included.
+LABELS = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"), min_size=1, max_size=3
+).filter(lambda label: label.split() == [label])
+
+
+class TestReportRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 9),
+        engine=st.sampled_from(["alpha", "modularity", "myerson"]),
+        policy=st.sampled_from(["round-robin", "random", "greedy"]),
+    )
+    def test_log_rows_are_the_trace_rows(self, seed, n, engine, policy):
+        # The partition commands write trace rows straight from the run's
+        # log; they must be the rows trace_to_obj writes for its trace.
+        rng = random.Random(seed)
+        g = random_multigraph(rng, n, edge_prob=0.5)
+        start = random_partition(rng, g.labels)
+        schedule = Schedule(policy, seed=seed, max_steps=50)
+        r, alpha = Fraction(rng.randint(1, 7), 8), Fraction(rng.randint(0, 6), 7)
+        vf = Modularity(Fraction(3, 4)) if engine == "modularity" and g.m else AlphaModel(alpha)
+
+        def fresh():
+            if engine == "myerson":
+                return _MyersonState(MyersonModel.bind(g, r), start)
+            return _BlockState(HedonicModel.bind(vf, g), _index_blocks(g, start))
+
+        _, trace = run_schedule(fresh(), schedule)
+        state = fresh()
+        settle(state, schedule)
+        assert log_to_obj(state.log, state.den) == trace_to_obj(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(LABELS, LABELS, st.integers(1, 3)).filter(lambda e: e[0] != e[1]), max_size=12))
+    def test_graph_digest_is_the_sha256_of_the_edge_list(self, edges):
+        g = Multigraph(edges)
+        expected = hashlib.sha256(serialize_edge_list(g).encode("utf-8")).hexdigest()
+        assert graph_digest(g) == expected
 
 
 class TestPartitionJson:

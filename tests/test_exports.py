@@ -1,10 +1,14 @@
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coopgraph
 from coopgraph.multigraph import _BlockTable
@@ -197,14 +201,64 @@ def test_every_import_is_the_package_or_the_standard_library():
 
 
 HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+# hashlib loads OpenSSL (_hashlib), about 4 ms and 3.5 MiB, where the
+# interpreter's own _sha256 gives graph_digest the same digest; no
+# command runs the reference paths.
+UNNEEDED = ["coopgraph.reference"] + (["hashlib", "_hashlib"] if importlib.util.find_spec("_sha256") else [])
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    # A fresh interpreter that imports the package from this checkout.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env, timeout=60, check=True, text=True)
+    return done.stdout
 
 
 def test_importing_the_cli_loads_no_introspection_module():
-    # A fresh interpreter, compared against what it had loaded before the
-    # import, so that modules the environment's site loads do not count.
-    code = "import sys; before = set(sys.modules); import coopgraph.cli; print(*set(sys.modules) - before)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True, text=True)
-    added = done.stdout.split()
+    # Compared against what the interpreter had loaded before the import,
+    # so that modules the environment's site loads do not count.
+    added = _run_fresh("import sys; before = set(sys.modules); import coopgraph.cli; print(*set(sys.modules) - before)").split()
     assert "coopgraph.cli" in added
-    assert [name for name in HEAVY if name in added] == []
+    assert [name for name in HEAVY + UNNEEDED if name in added] == []
+
+
+MOVED = {
+    "partition.apply_move", "partition.enumerate_deviations", "partition.run_dynamics", "hedonic.pair_value",
+    "hedonic.move_gain", "myerson.myerson_gain", "multigraph._bfs_counts",
+}
+RESOLVE = """if True:
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import coopgraph.cli
+    from spans import TRACED, Tracer
+    loaded = "coopgraph.reference" in sys.modules
+    traced = {f"{m}.{n}": getattr(sys.modules["coopgraph." + m], n).__module__ for m, n in TRACED}
+    import coopgraph
+    unresolved = [name for name in coopgraph.__all__ if not hasattr(coopgraph, name)]
+    from coopgraph.partition import run_dynamics
+    from coopgraph.hedonic import bruteforce_max_partition
+    from coopgraph.myerson import myerson_shapley_oracle
+    from coopgraph.multigraph import geodesic_profile
+    moved = [f.__module__ for f in (run_dynamics, bruteforce_max_partition, myerson_shapley_oracle, geodesic_profile)]
+    Tracer().install()
+    print(json.dumps([loaded, traced, unresolved, moved]))
+"""
+
+
+def test_reference_names_resolve_where_they_were_defined():
+    # perfbench's Tracer.install getattr()s every traced (module, name)
+    # once coopgraph.cli is imported, before anything loads the reference
+    # paths; every exported name and a from-import of a moved name from
+    # each module it left must resolve as well.
+    loaded, traced, unresolved, moved = json.loads(_run_fresh(RESOLVE, str(PERFBENCH)))
+    assert not loaded
+    assert traced == {name: "coopgraph." + ("reference" if name in MOVED else name.split(".")[0]) for name in traced}
+    assert unresolved == []
+    assert moved == ["coopgraph.reference"] * 4
+
+
+@pytest.mark.parametrize("module", ["coopgraph", "coopgraph.partition", "coopgraph.hedonic", "coopgraph.myerson", "coopgraph.multigraph"])
+def test_a_missing_name_still_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=f"module '{module}' has no attribute 'no_such_name'"):
+        getattr(importlib.import_module(module), "no_such_name")
