@@ -37,6 +37,7 @@ from .myerson import (
     MyersonModel,
     _check_r,
     _MyersonState,
+    external_scan,
     external_stability_check,
     myerson_allocation,
     myerson_nash_stable,
@@ -163,8 +164,8 @@ def _cmd_partition_myerson(args) -> int:
     g = _resolve_graph(args.graph)
     start = _resolve_init(args.init, g)
     began = time.monotonic()
-    # One model for the run and both verifiers, which read its cached
-    # tables; the Nash check scans the run's own final state, and the
+    # One model and one state for the run and both verifiers: the checks
+    # scan the run's own final state, reading its cached tables, and the
     # trace rows come from its log.
     model = MyersonModel.bind(g, r)
     state = _MyersonState(model, start)
@@ -172,7 +173,7 @@ def _cmd_partition_myerson(args) -> int:
     final = state.partition()
     elapsed = time.monotonic() - began
     stable, witness = nash_scan(state)
-    externally_stable, entry = model.external_stability(final)
+    externally_stable, entry = external_scan(state)
     trace = log_to_obj(state.log, state.den)
     # Release the model's tables: the allocations below build their own.
     del state, model

@@ -1,8 +1,9 @@
 """Shared exception types, the check that keeps floats out, the rules
-that decide which text is an integer or a rational, the base of the
-frozen public records, and the module hook that loads the reference
-paths on first use."""
+that decide which text is an integer or a rational and the one writer
+of "p/q" text, the base of the frozen public records, and the module
+hook that loads the reference paths on first use."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -37,6 +38,12 @@ def _exact(value, name: str) -> Fraction:
         kind = type(value).__name__
         raise ValueError(f"{name} must be an int, a Fraction or a 'p/q' string, got the {kind} {value!r}")
     return Fraction(value)
+
+
+def _ratio(num: int, den: int) -> str:
+    # num / den, den > 0, in lowest terms: "p/q", or "p" for an integer.
+    k = math.gcd(num, den)
+    return str(num // k) if k == den else f"{num // k}/{den // k}"
 
 
 class _Record:

@@ -39,10 +39,10 @@ built when a trace is asked for, a reported potential, a pair value);
 alpha_sweep builds no trace, and its envelope compares integer lines.
 Potentials, move gains, thresholds and breakpoints are exact rationals.
 
-alpha_sweep discovery skips every grid point that an earlier run from
-the same start covers. Under the alpha model each comparison a run makes
-(gain > 0, and the pruning test leave <= 0) is the sign of a line in
-alpha, lam a - kap b with integer parts a and b. So a run also checks
+alpha_sweep discovery runs each start next at the first grid point
+past its last run's reach. Under the alpha model each comparison a run
+makes (gain > 0, and the pruning test leave <= 0) is the sign of a line
+in alpha, lam a - kap b with integer parts a and b. So a run also checks
 each comparison at one later grid point, reach, by two integer products,
 and lowers reach until the outcome there matches. A line with one sign
 at both ends has it in between, so at every grid point up to reach the
@@ -394,8 +394,7 @@ def alpha_sweep(
     ValueError is raised unless alpha_range is a pair (lo, hi) with
     0 <= lo < hi <= 1 and grid is an int of at least 1 (a bool is not);
     also for an empty candidate set and for starts given with candidates.
-    The graph is bound once; a grid point where runs start only
-    rescales the binding.
+    The graph is bound once; each run only rescales the binding.
     """
     if not isinstance(alpha_range, (tuple, list)) or len(alpha_range) != 2:
         raise ValueError(f"alpha range must be a pair (lo, hi), got {alpha_range!r}")
@@ -417,33 +416,29 @@ def alpha_sweep(
         # enters as graph indices once.
         distinct = {s.blocks: s for s in [*(starts or ()), Partition.singletons(g.labels), Partition.grand(g.labels)]}
         base = [_index_blocks(g, s) for s in distinct.values()]
-        # Grid point j is alpha (u + v j) / w. covered[k] is the last grid
-        # point the runs from start k have covered: a run at j tracks its
-        # comparisons up to the reach it returns, and discovery goes on at
-        # the first point some start has not covered.
+        # Grid point j is alpha (u + v j) / w. A run at j tracks its
+        # comparisons up to the reach it returns, so each start is run
+        # next at the first grid point past that reach.
         d = hi - lo
         line = (lo.numerator * d.denominator * grid, d.numerator * lo.denominator,
                 lo.denominator * d.denominator * grid)
         u, v, w = line
-        covered = [-1] * len(base)
         # (form, partition) of each new candidate, keyed by its index blocks.
         found: dict[frozenset, tuple] = {}
-        j = 0
-        while j <= grid:
-            a = Fraction(u + v * j, w)
-            model = HedonicModel(AlphaModel(a), g, structure.a, structure.c, **_alpha_scalars(a))
-            for k, blocks in enumerate(base):
-                if covered[k] < j:
-                    state = _BlockState(model, blocks)
-                    state.track(line, j, grid)
-                    settle(state)
-                    covered[k] = state.reach
-                    final = state.index_blocks()
-                    key = frozenset(map(frozenset, final))
-                    if key not in found:
-                        links, pairs = structure.within(final)
-                        found[key] = (links, -pairs), state.partition()
-            j = min(covered) + 1
+        for blocks in base:
+            j = 0
+            while j <= grid:
+                a = Fraction(u + v * j, w)
+                model = HedonicModel(AlphaModel(a), g, structure.a, structure.c, **_alpha_scalars(a))
+                state = _BlockState(model, blocks)
+                state.track(line, j, grid)
+                settle(state)
+                j = state.reach + 1
+                final = state.index_blocks()
+                key = frozenset(map(frozenset, final))
+                if key not in found:
+                    links, pairs = structure.within(final)
+                    found[key] = (links, -pairs), state.partition()
         cands = list(found.values())
     return SweepTable(tuple(_envelope(cands, lo, hi)))
 

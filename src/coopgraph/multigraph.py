@@ -191,11 +191,14 @@ def serialize_edge_list(g: Multigraph) -> str:
     first-mention pair order. Parsing the output reproduces the graph and
     re-serializing is byte-stable. Isolated nodes are not representable.
     Raises ValueError for a label containing '#', which the format reads
-    as the start of a comment."""
+    as the start of a comment, and for a first label starting with U+FEFF,
+    which parse_edge_list drops as a byte-order mark."""
     for label in g.labels:
         if "#" in label:
             raise ValueError(f"node label {label!r} contains '#', which starts an edge-list comment")
     lines = [f"{u} {v}" if w == 1 else f"{u} {v} {w}" for u, v, w in g.pairs()]
+    if lines and lines[0].startswith("\ufeff"):
+        raise ValueError(f"node label {lines[0].split()[0]!r} starts the edge list with U+FEFF, a byte-order mark")
     return "".join(line + "\n" for line in lines)
 
 

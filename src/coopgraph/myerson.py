@@ -22,8 +22,9 @@ now: dynamics and the external check value only the blocks it links to.
 A table is searched on a miss, grown in place when better response
 accepts a join into its block and shrunk in place when it accepts a
 leave (a singleton source's table is dropped, so a run leaves the live
-blocks only and a move searches nothing). The external check grows an
-entered block's table by the entrant and shrinks it back, so
+blocks only and a move searches nothing). The external check walks a
+state, a run's own or one of a partition, as nash_scan does; it grows
+an entered block's table by the entrant and shrinks it back, so
 MyersonModel.table is the one search. An outsider's payoff leaves its
 counts, buckets, detour pairs and links on the table as its one stash;
 a grow that follows reads them, and any other join computes its own.
@@ -47,7 +48,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import _exact, _reference_hook
+from .errors import _exact, _ratio, _reference_hook
 from .multigraph import (
     Multigraph,
     PathProfile,
@@ -145,20 +146,15 @@ class CharPoly:
 
     def power_strings(self) -> list[str]:
         """Coefficients as "p/q" strings indexed by power (index 0 is the
-        constant term, always "0")."""
-        out = ["0"]
-        for c in self._coeffs:
-            out.append(str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
-        return out
+        constant term, always "0"), written as reports write rationals."""
+        return ["0", *(_ratio(c.numerator, c.denominator) for c in self._coeffs)]
 
     def __str__(self) -> str:
         terms = []
         for k, c in enumerate(self._coeffs, start=1):
             if c == 0:
                 continue
-            coeff = "" if c == 1 else (
-                f"{c.numerator} " if c.denominator == 1 else f"{c.numerator}/{c.denominator} "
-            )
+            coeff = "" if c == 1 else _ratio(c.numerator, c.denominator) + " "
             terms.append(f"{coeff}r" if k == 1 else f"{coeff}r^{k}")
         return " + ".join(terms) if terms else "0"
 
@@ -269,26 +265,8 @@ class MyersonModel:
         return nash_scan(_MyersonState(self, p))
 
     def external_stability(self, p: Partition) -> tuple[bool, Optional[tuple[str, int]]]:
-        """(True, None) when every beneficial entry (a positive-gain
-        deviation, as dynamics walk them) is blocked by an incumbent whose
-        payoff would strictly drop on the block's table grown by the node;
-        otherwise False and the first unblocked (node, block index)."""
-        state = _MyersonState(self, p)
-        for i in state.nodes:
-            for k, gain in state.deviations(i):
-                if gain <= 0:
-                    continue
-                # Read the incumbents before grow clears the vectors; grow
-                # reuses the join i's payoff left, shrink restores the table.
-                block = state.blocks[k]
-                t = self.table(block)
-                now = [self._value(t, j) for j in block]
-                t.grow(i)
-                blocked = any(self._value(t, j) < v for j, v in zip(block, now))
-                t.shrink(i)
-                if not blocked:
-                    return False, (state.labels[i], k)
-        return True, None
+        """external_scan on a state of p."""
+        return external_scan(_MyersonState(self, p))
 
 
 class _MyersonState(_IndexState):
@@ -334,6 +312,29 @@ class _MyersonState(_IndexState):
         # Equal exactly when the partitions are; keys share the blocks a
         # move leaves alone.
         return frozenset(self.blocks)
+
+
+def external_scan(state: _MyersonState) -> tuple[bool, Optional[tuple[str, int]]]:
+    """(True, None) when every beneficial entry (a positive-gain deviation,
+    in nash_scan order) is blocked by an incumbent whose payoff would
+    strictly drop on the block's table grown by the node; otherwise False
+    and the first unblocked (node label, block position)."""
+    model = state.model
+    for i in state.nodes:
+        for k, gain in state.deviations(i):
+            if gain <= 0:
+                continue
+            # Read the incumbents before grow clears the vectors; grow
+            # reuses the join i's payoff left, shrink restores the table.
+            block = state.blocks[k]
+            t = model.table(block)
+            now = [model._value(t, j) for j in block]
+            t.grow(i)
+            blocked = any(model._value(t, j) < v for j, v in zip(block, now))
+            t.shrink(i)
+            if not blocked:
+                return False, (state.labels[i], k)
+    return True, None
 
 
 def myerson_better_response(

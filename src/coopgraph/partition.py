@@ -8,7 +8,8 @@ The state logs accepted moves as plain numbers; run_schedule builds the
 trace from the log, and the partition commands read the log directly.
 The hedonic and Myerson engines share one index-array state,
 _IndexState, and nash_scan finds the first improving deviation of any
-state. Potential games stop Stable.
+state (myerson.external_scan walks the same way). Potential games stop
+Stable.
 
 The reference paths, apply_move, enumerate_deviations and run_dynamics
 (which adapts a payoff callback to settle), live in coopgraph.reference
@@ -142,17 +143,11 @@ def _label(node) -> str:
 
 def canonical_form(p: Partition) -> bytes:
     """Canonical byte encoding: members sorted within blocks, blocks sorted
-    by least member, members joined by "," and blocks by "|". A label's
-    backslashes, commas and bars are escaped with a backslash, so two
-    partitions are equal iff their encodings are."""
+    by least member, members joined by "," and blocks by "|". Every
+    label's backslashes, commas and bars are escaped with a backslash, so
+    two partitions are equal iff their encodings are."""
     blocks = sorted(sorted(b) for b in p.blocks)
-    text = "|".join(",".join(b) for b in blocks)
-    # Some label needs escaping exactly when the plain text has a
-    # backslash or as many separators as members. Sweeps encode every
-    # candidate, so the usual case skips the per-label pass.
-    if "\\" in text or text.count(",") + text.count("|") >= sum(map(len, blocks)):
-        text = "|".join(",".join(map(_escape, b)) for b in blocks)
-    return text.encode("utf-8")
+    return "|".join(",".join(map(_escape, b)) for b in blocks).encode("utf-8")
 
 
 def _escape(label: str) -> str:

@@ -2,16 +2,15 @@
 
 Formats are deterministic so that repeated runs produce identical bytes.
 Rationals are always "p/q" strings (plain integers allowed), never
-floats. Trace rows come from a Trace (trace_to_obj) or straight from a
-dynamics state's log of scaled integer gains (log_to_obj); both write
-a row's move and gain with the formatters of move_to_obj and
-format_rational.
+floats, written by errors._ratio, as CharPoly's coefficients are. Trace
+rows come from a Trace (trace_to_obj) or straight from a dynamics
+state's log of scaled integer gains (log_to_obj), written alike.
 
-graph_digest takes SHA-256 from the interpreter's built-in _sha256
-module, as CPython's random module takes _sha512: hashlib loads OpenSSL,
-about 4 ms and 3.5 MiB at the start of every command, for one digest of
-a short edge list. Without that module it falls back to hashlib; the
-digest is the same.
+graph_digest takes SHA-256 from the interpreter's built-in module,
+_sha2 from Python 3.12 on and _sha256 before, as CPython's random
+module takes _sha512: hashlib loads OpenSSL, about 4 ms and 3.5 MiB at
+the start of every command, for one digest of a short edge list.
+Without either module it falls back to hashlib; the digest is the same.
 """
 
 from __future__ import annotations
@@ -19,30 +18,26 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import _RATIONAL_RE, _exact
+from .errors import _RATIONAL_RE, _exact, _ratio
 from .hedonic import SweepTable
 from .multigraph import Multigraph, serialize_edge_list
 from .partition import Move, Partition, Trace, canonical_form
 
 try:
-    from _sha256 import sha256
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def format_rational(q) -> str:
     q = _exact(q, "rational")
     return _ratio(q.numerator, q.denominator)
-
-
-def _ratio(num: int, den: int) -> str:
-    # num / den, den > 0, in lowest terms: "p/q", or "p" for an integer.
-    k = math.gcd(num, den)
-    return str(num // k) if k == den else f"{num // k}/{den // k}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -346,6 +346,22 @@ class TestPartitionCommand:
         assert json.loads(out)["stability"]["nash_stable"] is True
         assert bound == [Fraction(1, 2)]
 
+    def test_myerson_run_builds_one_state_and_checks_the_cover_once(self, capsys, monkeypatch):
+        # Both verifiers scan the run's own final state, so the start is
+        # the only partition that enters the engine. Singletons are built
+        # from the graph's labels, with no cover check of their own.
+        states, covers = [], []
+        init, check_cover = _MyersonState.__init__, Partition.check_cover
+        monkeypatch.setattr(_MyersonState, "__init__", lambda self, *args: states.append(args) or init(self, *args))
+        monkeypatch.setattr(Partition, "check_cover", lambda self, u: covers.append(self) or check_cover(self, u))
+        code, out, _ = run(capsys, "partition", "myerson", "--graph", "karate", "--r", "1/2", "--max-steps", "5")
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "CapReached"
+        assert report["stability"]["nash_stable"] is False
+        assert report["stability"]["externally_stable"] is False
+        assert len(states) == 1 and len(covers) == 1
+
     def test_myerson_report_allocations_run_after_the_model_is_released(self, capsys, monkeypatch):
         # The allocations build tables of their own, so the model's
         # tables of the same blocks must be gone by then.
@@ -724,6 +740,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv, str(bad))
         assert code == 2
         assert "node listed twice in one block: 'A'" in err
+
+    def test_a_graph_whose_text_would_start_with_a_byte_order_mark_is_refused(self, capsys, tmp_path):
+        # The file's own mark is dropped; a second one starts the first
+        # label, which the report's digest cannot write back.
+        graph = tmp_path / "marked.edges"
+        graph.write_bytes("\ufeff\ufeffa b\nb c\n".encode("utf-8"))
+        code, out, err = run(capsys, "partition", "myerson", "--graph", str(graph), "--r", "1/2")
+        assert (code, out) == (2, "")
+        assert "'\\ufeffa'" in err and "byte-order mark" in err
 
     @pytest.mark.parametrize(
         "argv",

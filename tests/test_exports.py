@@ -183,7 +183,9 @@ def test_no_float_enters_the_package():
 
 def test_every_import_is_the_package_or_the_standard_library():
     # stdlib-only, no runtime dependency. dataclasses would bring inspect,
-    # ast, dis and tokenize into the start of every command.
+    # ast, dis and tokenize into the start of every command. _sha2 is the
+    # built-in SHA-2 module from Python 3.12 on, absent from the older
+    # interpreters' stdlib_module_names.
     foreign = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -195,16 +197,17 @@ def test_every_import_is_the_package_or_the_standard_library():
                 continue
             for name in names:
                 top = name.split(".")[0]
-                if top == "dataclasses" or top != "coopgraph" and top not in sys.stdlib_module_names:
+                if top == "dataclasses" or top not in {"coopgraph", "_sha2", *sys.stdlib_module_names}:
                     foreign.append(f"{path.name}:{node.lineno}:{name}")
     assert foreign == []
 
 
 HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
 # hashlib loads OpenSSL (_hashlib), about 4 ms and 3.5 MiB, where the
-# interpreter's own _sha256 gives graph_digest the same digest; no
-# command runs the reference paths.
-UNNEEDED = ["coopgraph.reference"] + (["hashlib", "_hashlib"] if importlib.util.find_spec("_sha256") else [])
+# interpreter's own _sha2 (Python 3.12 on) or _sha256 gives graph_digest
+# the same digest; no command runs the reference paths.
+BUILTIN_SHA = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+UNNEEDED = ["coopgraph.reference"] + (["hashlib", "_hashlib"] if BUILTIN_SHA else [])
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 

@@ -71,6 +71,11 @@ def _cases() -> dict[str, list[str]]:
             "stability", "--graph", graph, "--partition", partition,
             "--model", "myerson", "--r", "1/2", "--external",
         ]
+    # Round-robin follows a true improvement cycle here (v6, v2, v6, v2
+    # after four other moves), so the run stops CycleDetected.
+    cases["partition_cycle7_three_quarters_cycle"] = [
+        "partition", "myerson", "--graph", "cycle7.edges", "--r", "3/4", "--init", "cycle7_start.json",
+    ]
     for name, graph, coalition in (
         ("example1_adef", "example1", "A,D,E,F"),
         ("example1_grand", "example1", "A,B,C,D,E,F"),

@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopgraph import (
+    CYCLE_DETECTED,
     GREEDY_BEST,
     ROUND_ROBIN,
     SEEDED_RANDOM,
@@ -54,7 +55,7 @@ from coopgraph import (
 )
 from coopgraph import multigraph, myerson
 from coopgraph.multigraph import _bfs, _BlockTable, _buckets, _containment, _containments, _detours, _through
-from coopgraph.myerson import _block_table
+from coopgraph.myerson import _block_table, external_scan
 from coopgraph.partition import canonical_form, run_schedule, settle
 from coopgraph.reports import partition_from_json
 
@@ -302,6 +303,45 @@ def test_dynamics_match_the_reference_payoff(data):
     got = myerson_better_response(g, r, p, schedule)
     want = run_dynamics(lambda q, mv: ref_gain(g, q, mv, r), p, schedule)
     assert got == want
+
+
+def test_round_robin_follows_a_true_improvement_cycle():
+    # Found by searching small random multigraphs: from this start,
+    # round-robin's own choices at r = 3/4 revisit a partition after the
+    # moves v6, v2, v6, v2. The reference payoffs make the same run, and
+    # each move of the cycle strictly gains for its node.
+    g = parse_edge_list((DATA / "cycle7.edges").read_text())
+    start = partition_from_json((DATA / "cycle7_start.json").read_text(), universe=g.labels)
+    r = Fraction(3, 4)
+    final, trace = myerson_better_response(g, r, start)
+    assert trace.status == CYCLE_DETECTED
+    assert run_dynamics(lambda q, mv: ref_gain(g, q, mv, r), start, Schedule()) == (final, trace)
+    seen = [start]
+    for step in trace.steps:
+        assert ref_gain(g, seen[-1], step.move, r) == step.gain > 0
+        seen.append(apply_move(seen[-1], step.move))
+    assert [step.move.node for step in trace.steps[-4:]] == ["v6", "v2", "v6", "v2"]
+    assert seen.index(seen[-1]) == len(seen) - 5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_external_check_on_a_runs_own_state_is_the_check_of_its_partition(data):
+    # The partition command scans the run's final state in place; a state
+    # rebuilt from its partition has the same block positions and node
+    # order, so the scan gives the same answer and witness. Step caps stop
+    # runs before they are Stable, where entries go unblocked.
+    g = data.draw(graphs(max_nodes=8))
+    p = data.draw(partitions(g))
+    r = data.draw(DISCOUNTS)
+    schedule = Schedule(
+        policy=data.draw(st.sampled_from([ROUND_ROBIN, SEEDED_RANDOM, GREEDY_BEST])),
+        seed=data.draw(st.integers(0, 3)),
+        max_steps=data.draw(st.one_of(st.none(), st.integers(1, 4))),
+    )
+    state = myerson._MyersonState(MyersonModel.bind(g, r), p)
+    settle(state, schedule)
+    assert external_scan(state) == MyersonModel.bind(g, r).external_stability(state.partition())
 
 
 def distances(level, q):
